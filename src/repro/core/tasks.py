@@ -66,13 +66,16 @@ class GenerationOutcome:
     generated (the campaign skips it, exactly like the serial path).  In
     process mode the worker also returns its private backend's usage meter
     and any exchanges its recording backend captured, because those side
-    effects happened on pickled copies the parent never sees.
+    effects happened on pickled copies the parent never sees.  A worker
+    error rides back in ``error``, so its usage still merges before the
+    parent re-raises it.
     """
 
     handler_name: str
     result: "GenerationResult | None" = None
     usage: UsageMeter | None = None
     exchanges: list[RecordedExchange] = field(default_factory=list)
+    error: Exception | None = None
 
 
 def run_generation_task(
@@ -89,11 +92,15 @@ def run_generation_task(
     fresh usage meter up front and the outcome carries that meter plus any
     recorded exchanges — the parent folds both into its own backend when the
     batch joins, restoring the accounting a shared-memory run gets for free.
+    The worker's copy serves every task it is dealt, so its budget
+    reservations are restored after each task: the budget outcome depends on
+    submission order alone, never on which tasks shared a worker.
     """
     backend = generator.backend
     exchanges_start = 0
     if collect_side_effects:
         backend.usage = UsageMeter()
+        reserved = backend.reserved_queries()
         if isinstance(backend, RecordingBackend):
             exchanges_start = len(backend.exchanges)
 
@@ -109,8 +116,13 @@ def run_generation_task(
             )
     except (ExtractionError, GenerationError):
         outcome.result = None
+    except Exception as error:
+        if not collect_side_effects:
+            raise
+        outcome.error = error
 
     if collect_side_effects:
+        backend.restore_reserved_queries(reserved)
         outcome.usage = backend.usage
         if isinstance(backend, RecordingBackend):
             outcome.exchanges = backend.take_exchanges(exchanges_start)
@@ -125,6 +137,7 @@ def merge_outcome_side_effects(backend, outcomes: "list[GenerationOutcome]") -> 
     process schedule.  Worker queries are also charged against the parent's
     query budget: raising at join (after all usage/exchanges merged) gives
     the same user-visible outcome as a shared-memory run raising mid-batch.
+    Otherwise the first worker error, in submission order, re-raises here.
     """
     merged_queries = 0
     for outcome in outcomes:
@@ -134,6 +147,9 @@ def merge_outcome_side_effects(backend, outcomes: "list[GenerationOutcome]") -> 
         if outcome.exchanges and isinstance(backend, RecordingBackend):
             backend.merge_exchanges(outcome.exchanges)
     backend.note_external_queries(merged_queries)
+    for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
 
 
 __all__ = [

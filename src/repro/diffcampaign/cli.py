@@ -17,17 +17,15 @@ recorded under a ``diff-report`` store key.  ``config_cell_planned`` /
 
 from __future__ import annotations
 
-import argparse
-import sys
-from pathlib import Path
-
 from ..engine import ExecutionEngine
-from ..errors import CampaignError
-from ..kconfig import CONFIG_PRESETS, config_preset
-from ..orchestrator.cli import _progress
+from ..experiments.flags import build_parser, config_from_args
+from ..experiments.runner import print_report
+from ..kconfig import config_preset
+from ..orchestrator.cli import _progress, exit_status
 from ..orchestrator.events import EventLog
 from ..orchestrator.plan import CAMPAIGN_SCHEMA
 from ..orchestrator.scheduler import CampaignScheduler
+from ..store import ArtifactStore
 from ..store.keys import StoreKey
 from .plan import DIFF_ASPECTS, build_diff_plan, cell_report_id, diff_task_id
 
@@ -46,47 +44,13 @@ def diff_report_key(cells: list[str], digests: list[str]) -> StoreKey:
 
 
 def diff_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kernelgpt-repro diff",
-        description="Run a differential campaign: one cell per config preset, "
-                    "plus cross-config diff reports",
-    )
-    parser.add_argument("--configs", required=True, metavar="A,B,...",
-                        help="comma-separated config presets (at least 2); "
-                             f"choices: {', '.join(sorted(CONFIG_PRESETS))}")
-    parser.add_argument("--preset", choices=["quick", "paper"], default="quick")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="workers per campaign wave (default: 1)")
-    parser.add_argument("--executor", choices=["serial", "thread", "process"], default="thread",
-                        help="worker pool flavour for --jobs > 1 (default: thread)")
-    parser.add_argument("--store", type=Path, default=None, metavar="DIR",
-                        help="artifact store for digest-keyed task reuse: the "
-                             "config-invariant prefix and unchanged cells load "
-                             "instead of re-executing")
-    parser.add_argument("--events", type=Path, default=None, metavar="FILE",
-                        help="append the schema'd JSONL event log to FILE")
-    parser.add_argument("--output", type=Path, default=None, metavar="DIR",
-                        help="directory to write per-cell and diff text files")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="retry budget per task (default: 1)")
-    parser.add_argument("--fuzz-budget", type=int, default=200,
-                        help="program budget per config cell (default: 200)")
-    args = parser.parse_args(argv)
-
+    args = build_parser("diff").parse_args(argv)
     names = sorted({name.strip() for name in args.configs.split(",") if name.strip()})
     presets = [config_preset(name) for name in names]
-
-    from ..experiments.config import paper, quick
-
-    config = paper() if args.preset == "paper" else quick()
     plan = build_diff_plan(
-        config, presets, retries=args.retries, fuzz_budget=args.fuzz_budget
+        config_from_args(args), presets, retries=args.retries, fuzz_budget=args.fuzz_budget
     )
-    store = None
-    if args.store is not None:
-        from ..store import ArtifactStore
-
-        store = ArtifactStore(args.store)
+    store = ArtifactStore(args.store) if args.store is not None else None
     engine = ExecutionEngine(jobs=args.jobs, kind=args.executor)
     events = EventLog(args.events, mirror=_progress)
     try:
@@ -94,10 +58,7 @@ def diff_main(argv: list[str] | None = None) -> int:
             events.emit(
                 "config_cell_planned", cell=preset.name, config_digest=preset.digest()
             )
-        scheduler = CampaignScheduler(
-            plan, engine, preset=args.preset, store=store, events=events
-        )
-        result = scheduler.run()
+        result = CampaignScheduler(plan, engine, store=store, events=events).run()
         for preset in presets:
             outcome = result.outcomes.get(cell_report_id(preset.name))
             if outcome is not None:
@@ -110,21 +71,12 @@ def diff_main(argv: list[str] | None = None) -> int:
     finally:
         events.close()
 
-    texts: list[tuple[str, str]] = []
-    for preset in presets:
-        outcome = result.outcomes.get(cell_report_id(preset.name))
+    reports = [(f"cell-{name}", cell_report_id(name)) for name in names]
+    reports += [(f"diff-{aspect}", diff_task_id(aspect)) for aspect in DIFF_ASPECTS]
+    for name, task_id in reports:
+        outcome = result.outcomes.get(task_id)
         if outcome is not None:
-            texts.append((f"cell-{preset.name}", outcome.output["text"]))
-    for aspect in DIFF_ASPECTS:
-        outcome = result.outcomes.get(diff_task_id(aspect))
-        if outcome is not None:
-            texts.append((f"diff-{aspect}", outcome.output["text"]))
-    for name, text in texts:
-        print(text)
-        print()
-        if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
-            (args.output / f"{name}.txt").write_text(text + "\n")
+            print_report({"experiment": name, "text": outcome.output["text"]}, args.output)
 
     if store is not None and all(
         diff_task_id(aspect) in result.outcomes for aspect in DIFF_ASPECTS
@@ -141,19 +93,7 @@ def diff_main(argv: list[str] | None = None) -> int:
         if key not in store:
             store.save(key, combined)
 
-    print(
-        f"[diff] {len(names)} cell(s), {len(plan)} task(s): "
-        f"{result.executed} executed, {result.reused} reused, "
-        f"{len(result.failures)} failed, {len(result.skipped)} skipped "
-        f"in {result.wall:.1f}s",
-        file=sys.stderr,
-    )
-    try:
-        result.raise_for_status()
-    except CampaignError as error:
-        print(f"diff campaign failed: {error}", file=sys.stderr)
-        return 1
-    return 0
+    return exit_status(result, f"[diff] {len(names)} cell(s), {len(plan)} task(s)", "diff campaign")
 
 
 __all__ = ["diff_main", "diff_report_key"]

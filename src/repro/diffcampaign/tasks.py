@@ -22,12 +22,6 @@ from ..orchestrator.scheduler import TASK_HANDLERS, TaskPayload
 from .plan import cell_fuzz_id
 
 
-def _context(payload: TaskPayload):
-    from ..experiments.context import shared_context
-
-    return shared_context(payload.preset, None, None, None, None, payload.store_spec)
-
-
 def _loaded_handlers(kernel, preset) -> set[str]:
     """Handler names (fops/proto_ops variables) the cell's config loads."""
     return {
@@ -51,7 +45,7 @@ def _run_cell_fuzz(payload: TaskPayload) -> dict:
     params = payload.params_dict()
     cell = params["cell"]
     preset = config_preset(cell)
-    ctx = _context(payload)
+    ctx = payload.context()
     kernel = ctx.kernel
     loaded = _loaded_handlers(kernel, preset)
     merged = ctx.syzkaller_corpus.merge_corpus(ctx.kernelgpt_corpus())
@@ -83,7 +77,7 @@ def _run_cell_report(payload: TaskPayload) -> dict:
     params = payload.params_dict()
     cell = params["cell"]
     preset = config_preset(cell)
-    ctx = _context(payload)
+    ctx = payload.context()
     fuzz = payload.upstream_dict()[cell_fuzz_id(cell)]
     loaded = _loaded_handlers(ctx.kernel, preset)
     run = ctx.generation_run

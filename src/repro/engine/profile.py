@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -53,6 +53,17 @@ class EngineProfile:
             yield
         finally:
             self.record(stage, time.perf_counter() - started)
+
+    def merge(self, other: "EngineProfile") -> None:
+        """Fold another profile's stages into this one (calls and totals add)."""
+        with other._lock:
+            theirs = [replace(stats) for stats in other._stages.values()]
+        with self._lock:
+            for stats in theirs:
+                mine = self._stages.setdefault(stats.name, StageStats(stats.name))
+                mine.calls += stats.calls
+                mine.total_seconds += stats.total_seconds
+                mine.max_seconds = max(mine.max_seconds, stats.max_seconds)
 
     def stage(self, name: str) -> StageStats | None:
         with self._lock:

@@ -60,11 +60,10 @@ def run_ablation_llm(
     ctx: EvaluationContext,
     *,
     drivers: tuple[str, ...] | None = None,
-    backends: tuple[str, ...] | None = None,
 ) -> TableResult:
     """Same drivers, different analyst capability profiles, one sharded run."""
     config = ctx.config
-    labels = tuple(backends or config.llm_backends or DEFAULT_PROFILES)
+    labels = tuple(config.llm_backends or DEFAULT_PROFILES)
     names = (drivers or TABLE5_DRIVER_NAMES)[: config.ablation_drivers]
     handlers = [ctx.kernel.record_for_name(name).handler_name for name in names]
 

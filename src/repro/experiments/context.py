@@ -194,50 +194,31 @@ class EvaluationContext:
         return corpus
 
 
-@lru_cache(maxsize=4)
+#: Serialises ``shared_context`` misses: ``lru_cache`` alone lets two
+#: threads that miss at once each build (and one of them keep) a context.
+_shared_lock = threading.Lock()
+
+
 def shared_context(
-    preset: str = "quick",
-    llm_backends: tuple[str, ...] | None = None,
-    pool_schedule: str | None = None,
-    route_table: tuple[tuple[str, str], ...] | None = None,
-    repair_mode: str | None = None,
-    store_spec: tuple[str, str | None] | None = None,
-    resilience_spec: tuple[str | None, str | None, int | None] | None = None,
+    config: ExperimentConfig, store_spec: tuple[str, str | None] | None = None
 ) -> EvaluationContext:
-    """Process-wide cached context (benchmark modules, process-pool workers).
+    """The process-wide context for one config (report tasks, campaign workers).
 
-    ``llm_backends``, ``pool_schedule``, ``route_table`` and ``repair_mode``
-    carry the runner's ``--backends`` / ``--pool-schedule`` / ``--route`` /
-    ``--repair-mode`` overrides into worker processes, which rebuild their
-    context from these plain strings (contexts hold locks and engines that
-    cannot cross process boundaries).  ``store_spec`` is the ``--store`` /
-    ``--frozen`` pair, ``(store_dir, lockfile_or_None)``: the worker binds a
-    serial store-backed engine onto the shared on-disk store (writes merge
-    through the store's own locking), and a lockfile additionally pins the
-    loads and swaps the analyst for the raising
-    :class:`~repro.store.FrozenBackend`.  ``resilience_spec`` is the
-    ``(--fault-plan, --retry, --breaker-threshold)`` triple — plain
-    hashable strings/ints so it survives both the lru_cache key and the
-    process-pool pickle.
+    Keyed by the frozen config itself, so every task carrying the same config
+    lands on one context per process, and process workers rebuild theirs from
+    the config in their payload.  ``store_spec`` is the ``--store`` /
+    ``--frozen`` pair, ``(store_dir, lockfile_or_None)``: the context gets a
+    serial store-backed engine over the shared on-disk store, and a lockfile
+    also pins the loads and swaps in the raising :class:`~repro.store.FrozenBackend`.
     """
-    from . import config as config_module
+    with _shared_lock:
+        return _cached_context(config, store_spec)
 
-    configuration = config_module.paper() if preset == "paper" else config_module.quick()
-    if llm_backends:
-        configuration = configuration.with_overrides(llm_backends=tuple(llm_backends))
-    if pool_schedule:
-        configuration = configuration.with_overrides(pool_schedule=pool_schedule)
-    if route_table:
-        configuration = configuration.with_overrides(route_table=tuple(route_table))
-    if repair_mode:
-        configuration = configuration.with_overrides(repair_mode=repair_mode)
-    if resilience_spec is not None:
-        fault_plan, retry_spec, breaker_threshold = resilience_spec
-        configuration = configuration.with_overrides(
-            fault_plan=fault_plan,
-            retry_spec=retry_spec,
-            breaker_threshold=breaker_threshold,
-        )
+
+@lru_cache(maxsize=4)
+def _cached_context(
+    config: ExperimentConfig, store_spec: tuple[str, str | None] | None
+) -> EvaluationContext:
     context_engine = None
     if store_spec is not None:
         from ..store import ArtifactStore, FrozenLock, StoreBinding
@@ -246,12 +227,15 @@ def shared_context(
         frozen = FrozenLock.load(frozen_path) if frozen_path else None
         binding = StoreBinding(ArtifactStore(store_dir), frozen=frozen)
         context_engine = ExecutionEngine(jobs=1, store=binding)
-    context = EvaluationContext(configuration, engine=context_engine)
+    context = EvaluationContext(config, engine=context_engine)
     if store_spec is not None and store_spec[1]:
         from ..store import FrozenBackend
 
         context.analysis_backend = FrozenBackend(context.build_analysis_backend())
     return context
+
+
+shared_context.cache_clear = _cached_context.cache_clear
 
 
 __all__ = ["EvaluationContext", "shared_context"]

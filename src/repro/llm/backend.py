@@ -459,12 +459,22 @@ class LLMBackend(abc.ABC):
         with self._budget_lock:
             return max(0, self._query_budget - self._reserved_queries)
 
+    def reserved_queries(self) -> int:
+        """Budget slots reserved so far; a snapshot for :meth:`restore_reserved_queries`."""
+        with self._budget_lock:
+            return self._reserved_queries
+
+    def restore_reserved_queries(self, count: int) -> None:
+        """Reset the reservations to a snapshot (after each process-worker task)."""
+        with self._budget_lock:
+            self._reserved_queries = count
+
     def note_external_queries(self, queries: int) -> None:
         """Count queries a worker-process copy issued against this budget.
 
         Process workers enforce the budget on their own pickled copies, each
-        starting from the parent's reservation count at fan-out time — so
-        during a batch the cap is per-shard, not global.  Merging outcomes
+        task starting from the parent's reservation count at fan-out time —
+        so during a batch the cap is per task, not global.  Merging outcomes
         calls this to restore exact accounting at join: the reservations are
         consumed here, and if the merged total has blown the budget the
         batch fails with ``LLMBudgetExceeded`` just as a shared-memory run

@@ -18,12 +18,12 @@ assert on instead of scraping stdout.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
 
 from ..engine import ExecutionEngine
 from ..errors import CampaignError
+from ..experiments.flags import build_parser, config_from_args
+from ..store import ArtifactStore
 from .events import EventLog
 from .plan import build_campaign_plan
 from .scheduler import CampaignScheduler
@@ -56,46 +56,13 @@ def _progress(record: dict) -> None:
 
 
 def campaign_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kernelgpt-repro campaign",
-        description="Run the evaluation as a DAG-scheduled campaign with quality gates",
-    )
-    from ..experiments.runner import EXPERIMENTS
+    from ..experiments.runner import EXPERIMENTS, print_report
 
-    parser.add_argument("--experiment", "-e", action="append",
-                        choices=sorted(EXPERIMENTS) + ["all"], default=None,
-                        help="experiment(s) to report on (default: all)")
-    parser.add_argument("--preset", choices=["quick", "paper"], default="quick")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="workers per campaign wave (default: 1)")
-    parser.add_argument("--executor", choices=["serial", "thread", "process"], default="thread",
-                        help="worker pool flavour for --jobs > 1 (default: thread)")
-    parser.add_argument("--store", type=Path, default=None, metavar="DIR",
-                        help="artifact store for digest-keyed task reuse: clean tasks "
-                             "(input digest unchanged) load instead of re-executing")
-    parser.add_argument("--events", type=Path, default=None, metavar="FILE",
-                        help="append the schema'd JSONL event log to FILE")
-    parser.add_argument("--output", type=Path, default=None, metavar="DIR",
-                        help="directory to write result text files")
-    parser.add_argument("--bench", type=Path, default=None, metavar="DIR",
-                        help="benchmark trajectory directory for the bench-floors gate "
-                             "(default: benchmarks/)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="retry budget per pipeline/report task (default: 1)")
-    parser.add_argument("--fuzz-budget", type=int, default=200,
-                        help="program budget for the campaign fuzz stage (default: 200)")
-    parser.add_argument("--no-gates", action="store_true",
-                        help="skip the quality gates (determinism diff, bench floors, "
-                             "store verify)")
-    args = parser.parse_args(argv)
-
-    from ..experiments.config import paper, quick
-
-    config = paper() if args.preset == "paper" else quick()
+    args = build_parser("campaign").parse_args(argv)
     wanted = args.experiment or ["all"]
     names = sorted(EXPERIMENTS) if "all" in wanted else sorted(set(wanted))
     plan = build_campaign_plan(
-        config,
+        config_from_args(args),
         experiments=names,
         retries=args.retries,
         gates=not args.no_gates,
@@ -103,46 +70,35 @@ def campaign_main(argv: list[str] | None = None) -> int:
         bench_dir=str(args.bench) if args.bench is not None else None,
         fuzz_budget=args.fuzz_budget,
     )
-    store = None
-    if args.store is not None:
-        from ..store import ArtifactStore
-
-        store = ArtifactStore(args.store)
+    store = ArtifactStore(args.store) if args.store is not None else None
     engine = ExecutionEngine(jobs=args.jobs, kind=args.executor)
     events = EventLog(args.events, mirror=_progress)
     try:
-        scheduler = CampaignScheduler(
-            plan, engine, preset=args.preset, store=store, events=events
-        )
-        result = scheduler.run()
+        result = CampaignScheduler(plan, engine, store=store, events=events).run()
     finally:
         events.close()
 
     for name in names:
         outcome = result.outcomes.get(f"report:{name}")
-        if outcome is None:
-            continue
-        text = outcome.output["text"]
-        print(text)
-        print()
-        if name == "table1" and outcome.output.get("audit"):
-            print("Correctness audit (§5.1.3):", outcome.output["audit"], "\n")
-        if args.output is not None:
-            args.output.mkdir(parents=True, exist_ok=True)
-            (args.output / f"{name}.txt").write_text(text + "\n")
+        if outcome is not None:
+            print_report(outcome.output, args.output)
 
+    return exit_status(result, f"[campaign] {len(plan)} task(s)", "campaign")
+
+
+def exit_status(result, summary: str, label: str) -> int:
+    """Print a campaign's run summary to stderr; 1 on a failed task or gate, else 0."""
     print(
-        f"[campaign] {len(plan)} task(s): {result.executed} executed, "
-        f"{result.reused} reused, {len(result.failures)} failed, "
-        f"{len(result.skipped)} skipped in {result.wall:.1f}s",
+        f"{summary}: {result.executed} executed, {result.reused} reused, "
+        f"{len(result.failures)} failed, {len(result.skipped)} skipped in {result.wall:.1f}s",
         file=sys.stderr,
     )
     try:
         result.raise_for_status()
     except CampaignError as error:
-        print(f"campaign failed: {error}", file=sys.stderr)
+        print(f"{label} failed: {error}", file=sys.stderr)
         return 1
     return 0
 
 
-__all__ = ["campaign_main"]
+__all__ = ["campaign_main", "exit_status"]

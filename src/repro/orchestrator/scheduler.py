@@ -11,10 +11,11 @@ and submission order for completions, so two equivalent runs produce
 byte-identical event sequences (rule 10) no matter how workers interleave.
 
 Task payloads are process-portable by construction: a frozen
-:class:`TaskPayload` of plain strings/tuples executed by the module-level
-:func:`execute_campaign_task`, which resolves the worker-local evaluation
-context via the process-cached ``shared_context`` — the same pattern as the
-flat runner's process path, so campaign outputs are byte-identical to it.
+:class:`TaskPayload` carrying the plan's :class:`ExperimentConfig` plus plain
+strings/tuples, executed by the module-level :func:`execute_campaign_task`,
+which resolves the worker-local evaluation context from that config via the
+process-cached ``shared_context``.  Report tasks run the flat runner's own
+report task, so campaign outputs are byte-identical to it.
 
 With an :class:`~repro.store.ArtifactStore`, each completed cacheable task
 is recorded under :func:`~repro.orchestrator.plan.campaign_key` — its id
@@ -39,6 +40,7 @@ from ..errors import (
     TransientBackendError,
     is_permanent_fault,
 )
+from ..experiments.config import ExperimentConfig
 from .events import EventLog
 from .plan import CampaignPlan, campaign_key, output_digest, task_input_digest
 
@@ -47,6 +49,7 @@ from .plan import CampaignPlan, campaign_key, output_digest, task_input_digest
 class TaskPayload:
     """Everything one campaign task execution needs, as picklable plain data.
 
+    ``config`` is the plan's config, which workers rebuild their context from.
     ``upstream`` carries dependency outputs as sorted ``(task_id, output)``
     pairs; outputs are canonical-JSON values (dicts of lists/strings/ints),
     identical whether computed fresh or loaded from the store.
@@ -55,7 +58,7 @@ class TaskPayload:
     task_id: str
     kind: str
     params: tuple[tuple[str, object], ...]
-    preset: str
+    config: ExperimentConfig
     attempt: int
     upstream: tuple[tuple[str, dict], ...] = ()
     store_spec: tuple[str, str | None] | None = None
@@ -66,11 +69,11 @@ class TaskPayload:
     def upstream_dict(self) -> dict[str, dict]:
         return dict(self.upstream)
 
+    def context(self):
+        """The worker-local evaluation context for this payload's config."""
+        from ..experiments.context import shared_context
 
-def _context(payload: TaskPayload):
-    from ..experiments.context import shared_context
-
-    return shared_context(payload.preset, None, None, None, None, payload.store_spec)
+        return shared_context(self.config, self.store_spec)
 
 
 def _suite_digest(text: str) -> str:
@@ -81,7 +84,7 @@ def _run_stage(payload: TaskPayload) -> dict:
     """Pipeline stages: generate, validate (repair outcomes), fuzz."""
     params = payload.params_dict()
     stage = params["stage"]
-    ctx = _context(payload)
+    ctx = payload.context()
     if stage == "generate":
         run = ctx.generation_run
         texts = [result.suite_text() for result in run.results.values()]
@@ -122,23 +125,17 @@ def _run_stage(payload: TaskPayload) -> dict:
 
 
 def _run_report(payload: TaskPayload) -> dict:
-    """Per-table report tasks: render one experiment to its canonical text."""
-    from ..experiments.runner import run_experiment_for_preset, run_table1_for_preset
+    """Per-table report tasks: the flat runner's report task, verbatim."""
+    from ..experiments.runner import run_report_task
 
-    name = payload.params_dict()["experiment"]
-    overrides = (None, None, None, None, payload.store_spec)
-    if name == "table1":
-        table, audit = run_table1_for_preset(payload.preset, *overrides)
-        return {"experiment": name, "text": table.render(), "audit": audit}
-    result = run_experiment_for_preset(name, payload.preset, *overrides)
-    return {"experiment": name, "text": result.render()}
+    return run_report_task(payload.params_dict()["experiment"], payload.config, payload.store_spec)
 
 
 def _run_gate(payload: TaskPayload) -> dict:
     from .verifier import run_gate
 
     params = payload.params_dict()
-    return run_gate(params["gate"], params, payload.preset, payload.upstream_dict())
+    return run_gate(params["gate"], params, payload.config, payload.upstream_dict())
 
 
 def _run_echo(payload: TaskPayload) -> dict:
@@ -298,13 +295,11 @@ class CampaignScheduler:
         plan: CampaignPlan,
         engine: ExecutionEngine | None = None,
         *,
-        preset: str = "quick",
         store=None,
         events: EventLog | None = None,
     ):
         self.plan = plan
         self.engine = engine if engine is not None else ExecutionEngine(jobs=1)
-        self.preset = preset
         self.store = store
         self.events = events if events is not None else EventLog()
         self._store_spec = (str(store.root), None) if store is not None else None
@@ -422,7 +417,7 @@ class CampaignScheduler:
                     task_id=task.task_id,
                     kind=task.kind,
                     params=task.params,
-                    preset=self.preset,
+                    config=plan.config,
                     attempt=attempts[task.task_id],
                     upstream=tuple(
                         sorted(
@@ -507,12 +502,11 @@ def run_campaign_plan(
     plan: CampaignPlan,
     *,
     engine: ExecutionEngine | None = None,
-    preset: str = "quick",
     store=None,
     events: EventLog | None = None,
 ) -> CampaignResult:
     """Convenience wrapper: schedule ``plan`` and return its result."""
-    scheduler = CampaignScheduler(plan, engine, preset=preset, store=store, events=events)
+    scheduler = CampaignScheduler(plan, engine, store=store, events=events)
     return scheduler.run()
 
 

@@ -12,8 +12,9 @@ Three gates ship with the standard plan:
 
 ``determinism``
     Re-runs one report task, deterministically sampled from the campaign's
-    own outputs, against a *fresh* context (no store binding — the whole
-    pipeline recomputes live) and byte-compares the rendered text.  The
+    own outputs, against a *fresh*, uncached ``EvaluationContext(config)``
+    (no store binding, not the process-cached context the reports used —
+    the whole pipeline recomputes live) and byte-compares the rendered text.  The
     executable form of DESIGN.md's determinism rules.
 ``bench_floors``
     Reads every ``benchmarks/BENCH_*.json`` trajectory and checks the last
@@ -33,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..experiments.config import ExperimentConfig
 from .plan import canonical_json, content_digest, output_digest
 
 
@@ -183,20 +185,19 @@ def sample_report(reports: dict[str, dict]) -> str:
     return ids[int(seed[:16], 16) % len(ids)]
 
 
-def determinism_gate(preset: str, reports: dict[str, dict]) -> GateVerdict:
-    """Re-run one sampled report live (no store) and byte-compare the output."""
-    from ..experiments.runner import run_experiment_for_preset, run_table1_for_preset
+def determinism_gate(config: ExperimentConfig, reports: dict[str, dict]) -> GateVerdict:
+    """Re-run one sampled report on a fresh context and byte-compare the output.
+
+    The context is uncached and store-less, so the whole pipeline recomputes live.
+    """
+    from ..experiments.context import EvaluationContext
+    from ..experiments.runner import render_report
 
     if not reports:
         return GateVerdict("determinism", True, "no report tasks to sample (vacuous pass)")
     task_id = sample_report(reports)
     recorded = reports[task_id]
-    name = task_id.split(":", 1)[1]
-    if name == "table1":
-        table, audit = run_table1_for_preset(preset)
-        fresh = {"experiment": name, "text": table.render(), "audit": audit}
-    else:
-        fresh = {"experiment": name, "text": run_experiment_for_preset(name, preset).render()}
+    fresh = render_report(task_id.split(":", 1)[1], EvaluationContext(config))
     identical = canonical_json(fresh) == canonical_json(recorded)
     if identical:
         detail = f"{task_id} re-run byte-identical"
@@ -209,13 +210,13 @@ def determinism_gate(preset: str, reports: dict[str, dict]) -> GateVerdict:
     return GateVerdict("determinism", identical, detail, {"sampled": task_id})
 
 
-def run_gate(gate: str, params: dict, preset: str, upstream: dict[str, dict]) -> dict:
+def run_gate(gate: str, params: dict, config: ExperimentConfig, upstream: dict[str, dict]) -> dict:
     """Dispatch one gate task; returns the verdict as a plain dict."""
     if gate == "determinism":
         reports = {
             task_id: output for task_id, output in upstream.items() if task_id.startswith("report:")
         }
-        return determinism_gate(preset, reports).as_dict()
+        return determinism_gate(config, reports).as_dict()
     if gate == "bench_floors":
         return bench_floor_gate(params.get("bench_dir")).as_dict()
     if gate == "store_verify":

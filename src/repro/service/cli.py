@@ -14,11 +14,10 @@ name).  A bare name with no kind is shorthand for ``experiment:NAME``.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
 
 from ..errors import AdmissionError
+from ..experiments.flags import build_parser, config_from_args
 from .jobs import JOB_KINDS, Job
 
 
@@ -60,81 +59,15 @@ def parse_tenant_budget(entry: str) -> tuple[str, int]:
 
 
 def serve_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kernelgpt-repro serve",
-        description="Run generation/repair/fuzz/experiment jobs through the coalescing job service",
-    )
-    parser.add_argument("--job", action="append", default=None, metavar="[TENANT=]KIND:SPEC",
-                        help="a job to submit (repeatable); bare NAME means experiment:NAME")
-    parser.add_argument("--preset", choices=["quick", "paper"], default="quick")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="service worker threads = jobs in flight (default: 2)")
-    parser.add_argument("--engine-jobs", type=int, default=1,
-                        help="per-job engine fan-out width (default: 1)")
-    parser.add_argument("--executor", choices=["serial", "thread", "process"], default="thread",
-                        help="per-job engine pool flavour (default: thread)")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="drain mode: every LLM submission flushes alone (for A/B runs)")
-    parser.add_argument("--window", type=float, default=10.0, metavar="MS",
-                        help="coalescing admission window in milliseconds (default: 10)")
-    parser.add_argument("--max-batch", type=int, default=64,
-                        help="flush as soon as this many requests are pending (default: 64)")
-    parser.add_argument("--tenant-budget", action="append", default=None, metavar="TENANT=N",
-                        help="cap TENANT at N distinct backend queries (repeatable)")
-    parser.add_argument("--max-pending", type=int, default=None,
-                        help="refuse submissions beyond this many queued+running jobs")
-    parser.add_argument("--store", type=Path, default=None, metavar="DIR",
-                        help="persistent artifact store: warm-start job caches from DIR "
-                             "and write fresh artifacts through, so warm caches "
-                             "survive service restarts")
-    parser.add_argument("--output", type=Path, default=None,
-                        help="directory for experiment-job result files (CLI-identical bytes)")
-    parser.add_argument("--events", type=Path, default=None, metavar="FILE",
-                        help="append a schema'd JSONL event log (job admission/flush/"
-                             "completion) to FILE — the same format as campaign --events")
-    parser.add_argument("--fault-plan", default=None, metavar="SPEC",
-                        help="deterministic chaos injection for the analysis backend, "
-                             "e.g. rate=0.2,seed=7: faults are a pure function of "
-                             "(route, prompt, occurrence), so retried runs converge "
-                             "to fault-free bytes")
-    parser.add_argument("--retry", default=None, metavar="SPEC",
-                        help="retry policy for the resilient backend wrapper, e.g. "
-                             "attempts=6 or off; a --fault-plan without --retry uses "
-                             "the default policy (4 attempts, capped backoff)")
-    parser.add_argument("--breaker-threshold", type=int, default=None, metavar="N",
-                        help="arm per-member circuit breakers in BackendPools: open "
-                             "after N consecutive member failures, deterministic "
-                             "failover to the remaining members")
-    parser.add_argument("--job-retries", type=int, default=0, metavar="N",
-                        help="service-wide retry budget for jobs failed by a transient "
-                             "backend fault (default: 0; permanent faults never retry)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print per-job cache statistics and the coalescer summary")
-    args = parser.parse_args(argv)
-
-    from ..experiments.config import paper, quick
     from .service import JobService
 
+    parser = build_parser("serve")
+    args = parser.parse_args(argv)
     jobs = [parse_job(entry) for entry in (args.job or [])]
     if not jobs:
         parser.error("at least one --job is required")
     tenant_budgets = dict(parse_tenant_budget(entry) for entry in (args.tenant_budget or []))
-    config = paper() if args.preset == "paper" else quick()
-    if args.fault_plan or args.retry or args.breaker_threshold is not None:
-        from ..llm import FaultPlan, RetryPolicy
-
-        try:
-            if args.fault_plan:
-                FaultPlan.parse(args.fault_plan)
-            if args.retry and args.retry != "off":
-                RetryPolicy.parse(args.retry)
-        except ValueError as error:
-            raise SystemExit(f"invalid resilience spec: {error}")
-        config = config.with_overrides(
-            fault_plan=args.fault_plan,
-            retry_spec=args.retry,
-            breaker_threshold=args.breaker_threshold,
-        )
+    config = config_from_args(args)
 
     event_log = None
     if args.events is not None:

@@ -156,6 +156,35 @@ def test_process_generation_enforces_query_budget_at_join(small_kernel, extracto
     assert backend.usage.queries > 60
 
 
+def test_process_budget_outcome_ignores_which_worker_runs_what(small_kernel, extractor):
+    """The worst-case schedule: one process worker is dealt every handler.
+
+    Its backend copy serves all four tasks, yet each task must start from
+    the fan-out reservations: no task trips the budget on its own, and the
+    merged total fails at the join with every task's usage accounted.
+    """
+    from repro.errors import LLMBudgetExceeded
+
+    backend = OracleBackend(query_budget=60)
+    generator = KernelGPT(small_kernel, backend, extractor=extractor)
+    engine = ExecutionEngine(jobs=1, executor=ProcessPoolExecutor(1))
+    with pytest.raises(LLMBudgetExceeded, match="across process shards"):
+        generator.generate_for_handlers(HANDLERS, engine=engine)
+    assert backend.usage.queries > 60
+
+
+def test_process_task_error_still_returns_its_usage(small_kernel, extractor):
+    """A task that blows the budget inside its worker still reports usage."""
+    from repro.errors import LLMBudgetExceeded
+
+    backend = OracleBackend(query_budget=20)
+    generator = KernelGPT(small_kernel, backend, extractor=extractor)
+    engine = ExecutionEngine(jobs=1, executor=ProcessPoolExecutor(1))
+    with pytest.raises(LLMBudgetExceeded):
+        generator.generate_for_handlers(["cec_devnode_fops"], engine=engine)
+    assert backend.usage.queries == 20
+
+
 def test_pickled_recording_backend_starts_with_empty_transcript(small_kernel, extractor):
     """Task payloads must not ship the parent's accumulated exchanges."""
     import pickle

@@ -144,9 +144,7 @@ def _run(engine=None, store=None):
     presets = [CONFIG_PRESETS[name] for name in CELLS]
     plan = build_diff_plan(quick(), presets, fuzz_budget=BUDGET)
     events = EventLog()
-    scheduler = CampaignScheduler(
-        plan, engine, preset="quick", store=store, events=events
-    )
+    scheduler = CampaignScheduler(plan, engine, store=store, events=events)
     result = scheduler.run()
     result.raise_for_status()
     texts = [
@@ -187,7 +185,7 @@ def test_new_cell_reexecutes_only_its_cone(tmp_path):
     _run(store=store)
     presets = [CONFIG_PRESETS[name] for name in CELLS + ["usb-hotplug"]]
     plan = build_diff_plan(quick(), presets, fuzz_budget=BUDGET)
-    result = CampaignScheduler(plan, preset="quick", store=store).run()
+    result = CampaignScheduler(plan, store=store).run()
     result.raise_for_status()
     reused = {t for t, o in result.outcomes.items() if o.reused}
     executed = {t for t, o in result.outcomes.items() if not o.reused}
