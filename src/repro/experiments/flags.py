@@ -89,7 +89,8 @@ FLAGS = {
     "workers": lambda p: p.add_argument(
         "--workers", type=int, default=2, help="service worker threads (default: 2)"),
     "engine-jobs": lambda p: p.add_argument(
-        "--engine-jobs", type=int, default=1, help="per-job engine fan-out (default: 1)"),
+        "--engine-jobs", type=int, default=1,
+        help="engine fan-out inside each experiment job (default: 1)"),
     "no-coalesce": lambda p: p.add_argument(
         "--no-coalesce", action="store_true", help="flush every LLM submission alone"),
     "window": lambda p: p.add_argument(

@@ -25,11 +25,12 @@ Flush triggers, checked by a dedicated flusher thread:
 Determinism: merged batches concatenate submissions in **admission order**
 (rule 8 in DESIGN.md), and in *drain* mode (``drain=True``, or
 :meth:`set_eager` while one job is in flight) every submission flushes
-inline and alone — the backend then sees exactly the batch sequence the CLI
-path would have issued, so single-job service output is byte-identical to
-the CLI run.  Coalescing never changes completions either way (they are
-pure functions of the prompt); it changes only how many round-trips carry
-them.
+inline.  With one submitting thread each flush carries one submission —
+the backend then sees exactly the batch sequence the CLI path would have
+issued, so single-job service output is byte-identical to the CLI run;
+submissions that arrive while a flush is on the wire ride the next one
+together.  Coalescing never changes completions either way (they are pure
+functions of the prompt); it changes only how many round-trips carry them.
 
 Tenant budgets are enforced here, at the coalescing boundary: a tenant is
 charged for the distinct requests *it* submits — cross-tenant dedupe inside
@@ -48,6 +49,9 @@ from typing import Sequence
 
 from ..errors import BackendError, ServiceSaturated, TenantBudgetExceeded
 from .backend import Completion, LLMBackend, LLMRequest, Prompt
+
+#: One client's (job's) coalescing counters (:meth:`BatchCoalescer.client_stats`).
+_CLIENT_FIELDS = ("submissions", "requests", "queries_saved_by_coalescing", "flushes_joined")
 
 
 class _Submission:
@@ -380,10 +384,7 @@ class BatchCoalescer:
         if client is None:
             return
         with self._stats_lock:
-            entry = self._clients.setdefault(
-                client,
-                {"submissions": 0, "requests": 0, "queries_saved_by_coalescing": 0, "flushes_joined": 0},
-            )
+            entry = self._clients.setdefault(client, dict.fromkeys(_CLIENT_FIELDS, 0))
             for key, delta in deltas.items():
                 entry[key] += delta
 
@@ -472,15 +473,16 @@ class BatchCoalescer:
     def client_stats(self, client: str) -> dict:
         """One client's (job's) coalescing accounting; zeros when unknown."""
         with self._stats_lock:
-            entry = self._clients.get(client)
-            if entry is None:
-                return {
-                    "submissions": 0,
-                    "requests": 0,
-                    "queries_saved_by_coalescing": 0,
-                    "flushes_joined": 0,
-                }
-            return dict(entry)
+            return dict(self._clients.get(client) or dict.fromkeys(_CLIENT_FIELDS, 0))
+
+    def release_client(self, client: str) -> dict:
+        """:meth:`client_stats` for a client that is done, which is then forgotten.
+
+        The job service calls it once per job, at job end, so the coalescer
+        keeps no per-job entry for the life of the service.
+        """
+        with self._stats_lock:
+            return self._clients.pop(client, None) or dict.fromkeys(_CLIENT_FIELDS, 0)
 
 
 class CoalescingBackend(LLMBackend):

@@ -33,7 +33,9 @@ class Job:
     kind: str
     tenant: str = "default"
     label: str | None = None
-    #: Handlers to generate/repair, in deterministic processing order.
+    #: Handlers to generate/repair, in output order: the text blocks and
+    #: ``handler`` events follow it, while the service runs the handlers'
+    #: sessions concurrently.
     handlers: tuple[str, ...] = ()
     #: Experiment name for ``kind == "experiment"`` (e.g. ``table1``).
     experiment: str | None = None

@@ -18,13 +18,18 @@ queue refuses with :class:`~repro.errors.ServiceSaturated`, and tenant
 exhaustion surfaces as :class:`~repro.errors.TenantBudgetExceeded` from the
 job that overran.
 
+A generation job runs its handlers as concurrent sessions on a job-scoped
+thread pool, so their round trips share coalesced flushes; the text and the
+streamed events keep handler order.
+
 Determinism (rule 8, DESIGN.md): with one job in flight the service flips
-the coalescer eager, so each submission flushes inline and alone — the
-backend sees exactly the CLI path's batch sequence, and the job's output is
-byte-identical to the CLI run.  With many jobs in flight, merging changes
-round-trip counts only, never completions (backends are pure functions of
-the prompt), so every job's output is *still* byte-identical to its solo
-run — coalescing is a throughput optimization, not a semantic one.
+the coalescer eager, so each submission flushes inline — a job with one
+submitting thread gives the backend exactly the CLI path's batch sequence,
+and its output is byte-identical to the CLI run.  A multi-handler job's
+sessions and many jobs in flight change round-trip counts only, never
+completions (backends are pure functions of the prompt), so every job's
+text and query count *still* equal its solo run's — coalescing is a
+throughput optimization, not a semantic one.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from ..engine import ExecutionEngine, GlobalWorkerBudget
 from ..errors import ServiceSaturated, TransientBackendError
@@ -133,7 +139,6 @@ class JobService:
         self._submitted = 0
         self._closed = False
         self._terminated = False
-        self._handles: dict[str, JobHandle] = {}
         self._threads = [
             threading.Thread(target=self._worker_loop, name=f"job-worker-{index}", daemon=True)
             for index in range(self.workers)
@@ -162,7 +167,6 @@ class JobService:
             self._pending += 1
             job_id = f"job-{self._submitted:04d}"
         handle = JobHandle(job_id, job)
-        self._handles[job_id] = handle
         self._queue.put((job_id, job, handle))
         return handle
 
@@ -189,84 +193,82 @@ class JobService:
             item = self._queue.get()
             if item is None:
                 return
-            job_id, job, handle = item
-            with self._lock:
-                self._running += 1
-            self._sync_load()
-            started = time.perf_counter()
-            job_backend = CoalescingBackend(
-                self.coalescer, tenant=job.tenant, client=job_id
+            self._serve(*item)
+            # An idle worker must not pin its last job: once the job has
+            # finished, a handle its caller released is collectable.
+            del item
+
+    def _serve(self, job_id: str, job: Job, handle: JobHandle) -> None:
+        """Run one admitted job to completion and deliver its result."""
+        with self._lock:
+            self._running += 1
+        self._sync_load()
+        started = time.perf_counter()
+        job_backend = CoalescingBackend(self.coalescer, tenant=job.tenant, client=job_id)
+        result = JobResult(job_id=job_id, label=job.describe(), kind=job.kind, tenant=job.tenant)
+
+        def emit(stage: str, detail: str) -> None:
+            event = JobEvent(job_id, stage, detail, time.perf_counter() - started)
+            result.events.append(event)
+            handle._emit(event)
+
+        # Transient faults that escape the backend-level retry layer
+        # may retry the *job*; permanent faults and unclassified
+        # errors fail it on first occurrence.  Each attempt gets a
+        # fresh engine (clean memo caches) but shares the job backend,
+        # whose converging fault schedule and budget accounting span
+        # attempts.
+        retry_budget = job.retries if job.retries is not None else self.job_retries
+        attempt = 0
+        while True:
+            attempt += 1
+            job_store = None
+            if self._store is not None:
+                from ..store import StoreBinding
+
+                job_store = StoreBinding(self._store)
+            job_engine = ExecutionEngine(
+                jobs=self.engine_jobs, kind=self.executor, store=job_store
             )
-            result = JobResult(
-                job_id=job_id, label=job.describe(), kind=job.kind, tenant=job.tenant
-            )
-
-            def emit(stage: str, detail: str) -> None:
-                event = JobEvent(job_id, stage, detail, time.perf_counter() - started)
-                result.events.append(event)
-                handle._emit(event)
-
-            # Transient faults that escape the backend-level retry layer
-            # may retry the *job*; permanent faults and unclassified
-            # errors fail it on first occurrence.  Each attempt gets a
-            # fresh engine (clean memo caches) but shares the job backend,
-            # whose converging fault schedule and budget accounting span
-            # attempts.
-            retry_budget = job.retries if job.retries is not None else self.job_retries
-            attempt = 0
-            while True:
-                attempt += 1
-                job_store = None
-                if self._store is not None:
-                    from ..store import StoreBinding
-
-                    job_store = StoreBinding(self._store)
-                job_engine = ExecutionEngine(
-                    jobs=self.engine_jobs, kind=self.executor, store=job_store
-                )
-                try:
-                    result.text = self._run_job(job, job_backend, job_engine, emit)
-                    result.error = None
+            try:
+                result.text = self._run_job(job, job_backend, job_engine, emit)
+                result.error = None
+                break
+            except TransientBackendError as error:
+                result.error = error
+                if attempt > retry_budget:
                     break
-                except TransientBackendError as error:
-                    result.error = error
-                    if attempt > retry_budget:
-                        break
-                    emit("retry", f"attempt {attempt} hit a transient fault: {error}")
-                    if self.events is not None:
-                        self.events.emit(
-                            "job_retried",
-                            job_id=job_id,
-                            attempt=attempt,
-                            error=f"{type(error).__name__}: {error}",
-                        )
-                except BaseException as error:  # noqa: BLE001 - delivered via the handle
-                    result.error = error
-                    break
-            result.attempts = attempt
-            result.duration = time.perf_counter() - started
-            result.queries = job_backend.usage.queries
-            result.cache = job_engine.cache_stats()
-            client = self.coalescer.client_stats(job_id)
-            result.coalescing = {
-                "queries_saved_by_coalescing": client["queries_saved_by_coalescing"],
-                "submissions": client["submissions"],
-                "requests": client["requests"],
-                "flushes_joined": client["flushes_joined"],
-                "by_kind": self.coalescer.stats()["by_kind"],
-            }
-            with self._lock:
-                self._running -= 1
-                self._pending -= 1
-            self._sync_load()
-            handle._finish(result)
+                emit("retry", f"attempt {attempt} hit a transient fault: {error}")
+                if self.events is not None:
+                    self.events.emit(
+                        "job_retried",
+                        job_id=job_id,
+                        attempt=attempt,
+                        error=f"{type(error).__name__}: {error}",
+                    )
+            except BaseException as error:  # noqa: BLE001 - delivered via the handle
+                result.error = error
+                break
+        result.attempts = attempt
+        result.duration = time.perf_counter() - started
+        result.queries = job_backend.usage.queries
+        result.cache = job_engine.cache_stats()
+        result.coalescing = {
+            **self.coalescer.release_client(job_id),
+            "by_kind": self.coalescer.stats()["by_kind"],
+        }
+        with self._lock:
+            self._running -= 1
+            self._pending -= 1
+        self._sync_load()
+        handle._finish(result)
 
     def _run_job(self, job: Job, backend: LLMBackend, engine: ExecutionEngine, emit) -> str:
         """Dispatch one job to its pipeline; returns the rendered text."""
         if job.kind in ("generation", "repair"):
             return self._run_generation(job, backend, engine, emit)
         if job.kind == "fuzz":
-            return self._run_fuzz(job, emit)
+            return self._run_fuzz(job, backend, engine, emit)
         return self._run_experiment(job, backend, engine, emit)
 
     def _run_generation(self, job: Job, backend, engine, emit) -> str:
@@ -276,35 +278,64 @@ class JobService:
         repair_mode = job.repair_mode or ("transactional" if job.kind == "repair" else None)
         gpt = self.context.kernelgpt.clone(backend=backend, engine=engine)
         handlers = job.handlers or tuple(self.context.selection.all_handlers)
+        # Every handler runs at once as its own session over the job's
+        # engine (whose single-flight memo they share) and backend handle,
+        # so each coalesced flush carries every session's next round and
+        # the job costs its longest handler chain, not the sum.  A flush
+        # carries at most max_batch requests, so more sessions could not
+        # share a round trip.  The threads wait on round trips rather than
+        # compute, so they are not leased from the CPU worker budget.
+        sessions = ThreadPoolExecutor(
+            max_workers=min(len(handlers), self.coalescer.max_batch),
+            thread_name_prefix="job-session",
+        )
         blocks: list[str] = []
-        for handler in handlers:
-            generated = gpt.generate_for_handler(handler, engine=engine, repair_mode=repair_mode)
-            emit(
-                "handler",
-                f"{handler} valid={generated.valid} syscalls={generated.syscall_count} "
-                f"repaired={generated.repaired}",
-            )
-            header = (
-                f"== {handler} (valid={generated.valid}, "
-                f"syscalls={generated.syscall_count}, repaired={generated.repaired})"
-            )
-            if job.kind == "repair":
-                header += (
-                    f" [mode={generated.repair_mode} rounds={generated.repair_rounds_used}"
-                    f" repair_queries={generated.repair_queries}"
-                    f" repair_llm_calls={generated.repair_llm_calls}]"
+        try:
+            futures = [
+                sessions.submit(
+                    gpt.generate_for_handler, handler, engine=engine, repair_mode=repair_mode
                 )
-            blocks.append(f"{header}\n{generated.suite_text()}")
+                for handler in handlers
+            ]
+            # Reading in handler order keeps the serial loop's output: each
+            # event goes out once its handler and every earlier one are
+            # done, and the first failing handler's error raises after the
+            # events before it.  Later sessions' outcomes are then dropped,
+            # as the serial loop would never have run them.
+            for handler, future in zip(handlers, futures):
+                generated = future.result()
+                emit(
+                    "handler",
+                    f"{handler} valid={generated.valid} syscalls={generated.syscall_count} "
+                    f"repaired={generated.repaired}",
+                )
+                header = (
+                    f"== {handler} (valid={generated.valid}, "
+                    f"syscalls={generated.syscall_count}, repaired={generated.repaired})"
+                )
+                if job.kind == "repair":
+                    header += (
+                        f" [mode={generated.repair_mode} rounds={generated.repair_rounds_used}"
+                        f" repair_queries={generated.repair_queries}"
+                        f" repair_llm_calls={generated.repair_llm_calls}]"
+                    )
+                blocks.append(f"{header}\n{generated.suite_text()}")
+        finally:
+            # No session of a failed attempt outlives it: unstarted ones
+            # are cancelled and running ones joined, so a retry starts clean.
+            sessions.shutdown(wait=True, cancel_futures=True)
         return "\n".join(blocks)
 
-    def _run_fuzz(self, job: Job, emit) -> str:
+    def _run_fuzz(self, job: Job, backend, engine, emit) -> str:
         from ..fuzzer import run_campaign
 
         if job.suite == "syzkaller":
             suite = self.context.syzkaller_corpus.flatten()
         else:
-            generated = self.context.kernelgpt.generate_for_handler(job.suite)
-            suite = generated.suite
+            # Through the job's clone, like generation jobs: the suite's
+            # queries are charged to the tenant and coalesced.
+            gpt = self.context.kernelgpt.clone(backend=backend, engine=engine)
+            suite = gpt.generate_for_handler(job.suite).suite
         emit("suite", f"{suite.name} syscalls={len(suite)}")
         campaign = run_campaign(self.context.kernel, suite, job.seed, job.budget_programs)
         emit("campaign", f"programs={campaign.executed_programs}")

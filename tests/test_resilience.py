@@ -708,6 +708,29 @@ class TestJobServiceRetries:
         assert result.attempts == 2
         assert any(event.stage == "retry" for event in result.events)
 
+    def test_retried_multi_handler_job_matches_a_clean_run(self, service_kernel):
+        # The job's concurrent sessions fail together on one attempt; the
+        # retry starts from a fresh engine and renders the clean text.
+        from repro.experiments.config import quick
+        from repro.service import Job, JobService
+
+        handlers = ("dm_ctl_fops", "kvm_fops", "timer_fops")
+        texts = []
+        for failures in (0, 2):
+            with JobService(
+                quick(),
+                workers=1,
+                kernel=service_kernel,
+                backend=_FailFirstBackend(failures=failures),
+                job_retries=1,
+            ) as service:
+                job = Job(kind="generation", handlers=handlers)
+                result = service.submit(job).wait(timeout=120)
+            assert result.ok, result.error
+            assert result.attempts == (2 if failures else 1)
+            texts.append(result.text)
+        assert texts[0] == texts[1]
+
     def test_transient_fault_exhausts_budget(self, service_kernel):
         result = self._run(
             _FailFirstBackend(failures=99), job_retries=1, kernel=service_kernel

@@ -4,16 +4,22 @@ Covers the coalescer edge cases the serving layer's correctness rests on —
 empty flush, window timeout with a single request, cross-tenant dedupe
 without budget leakage, mid-batch budget exhaustion raising at the right
 request, deterministic drain ordering — plus the service-level contracts:
-admission control, result streaming, and the rule-8 guarantee that a
-single-job service run is byte-identical to the CLI path.
+admission control, result streaming, a job's concurrent handler sessions,
+and the rule-8 guarantee that a single-job service run is byte-identical to
+the CLI path.
 """
 
+import gc
+import sys
 import threading
+import time
+import weakref
 
 import pytest
 
+from repro.core import KernelGPT
 from repro.engine import ExecutionEngine, GlobalWorkerBudget
-from repro.errors import ServiceSaturated, TenantBudgetExceeded
+from repro.errors import ExtractionError, ServiceSaturated, TenantBudgetExceeded
 from repro.llm import BatchCoalescer, CoalescingBackend, Completion, LLMBackend, Prompt
 from repro.service import Job, JobService
 from repro.experiments.config import quick
@@ -248,6 +254,18 @@ def service_kernel():
 
 
 HANDLERS = ("dm_ctl_fops", "kvm_fops")
+#: Multi-handler jobs from different tenants that share handlers.  Two
+#: name a handler twice, whose sessions the job's memo must collapse.
+SHARED_JOBS = (
+    ("alpha", ("dm_ctl_fops", "kvm_fops", "timer_fops")),
+    ("beta", ("kvm_fops", "dm_ctl_fops", "kvm_fops")),
+    ("gamma", ("timer_fops", "ppp_fops", "dm_ctl_fops")),
+    ("delta", ("ppp_fops", "timer_fops", "ppp_fops")),
+)
+
+
+def session_threads() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate() if thread.name.startswith("job-session")]
 
 
 class TestJobService:
@@ -325,14 +343,119 @@ class TestJobService:
         assert results[True] == results[False]
         assert len(set(results[True])) == 1  # identical jobs, identical text
 
-    def test_events_stream_in_handler_order(self, service_kernel):
+    def test_events_stream_in_handler_order(self, service_kernel, monkeypatch):
+        first, second, last = handlers = ("dm_ctl_fops", "kvm_fops", "timer_fops")
+        second_done, two_seen = threading.Event(), threading.Event()
+        waited: dict[str, bool] = {}
+        generate = KernelGPT.generate_for_handler
+
+        def gated(self, handler_name, **kwargs):
+            # The first handler finishes after the second, and the last one
+            # only once the client has seen two events: events must follow
+            # handler order and stream before the job ends.
+            if handler_name == first:
+                waited[first] = second_done.wait(timeout=10)
+            if handler_name == last:
+                waited[last] = two_seen.wait(timeout=10)
+            generated = generate(self, handler_name, **kwargs)
+            if handler_name == second:
+                second_done.set()
+            return generated
+
+        monkeypatch.setattr(KernelGPT, "generate_for_handler", gated)
         with JobService(quick(), workers=1, kernel=service_kernel) as service:
-            handle = service.submit(Job(kind="generation", handlers=HANDLERS))
+            handle = service.submit(Job(kind="generation", handlers=handlers))
+            streamed = []
+            for event in handle.events():
+                streamed.append(event.detail.split()[0])
+                if len(streamed) == 2:
+                    two_seen.set()
+            result = handle.wait(timeout=120)
+        assert result.ok, result.error
+        assert waited == {first: True, last: True}
+        assert streamed == list(handlers)
+        assert [e.stage for e in result.events] == ["handler"] * 3
+
+    def test_first_failing_handler_fails_the_job_after_earlier_events(self, service_kernel):
+        handlers = ("dm_ctl_fops", "no_such_fops", "kvm_fops", "also_missing_fops")
+        with JobService(quick(), workers=1, kernel=service_kernel) as service:
+            handle = service.submit(Job(kind="generation", handlers=handlers))
             streamed = [event.detail.split()[0] for event in handle.events()]
             result = handle.wait(timeout=120)
-        assert result.ok
-        assert streamed == list(HANDLERS)
-        assert [e.stage for e in result.events] == ["handler", "handler"]
+            # No session of the failed job outlives it.
+            assert session_threads() == []
+        assert isinstance(result.error, ExtractionError)
+        assert "no_such_fops" in str(result.error)
+        assert streamed == ["dm_ctl_fops"]
+        assert [event.detail.split()[0] for event in result.events] == ["dm_ctl_fops"]
+
+    def test_all_handler_job_runs_at_most_max_batch_sessions(self, service_kernel, monkeypatch):
+        lock = threading.Lock()
+        live = [0, 0]  # current, peak
+        generate = KernelGPT.generate_for_handler
+
+        def counted(self, handler_name, **kwargs):
+            with lock:
+                live[0] += 1
+                live[1] = max(live)
+            try:
+                time.sleep(0.005)
+                return generate(self, handler_name, **kwargs)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(KernelGPT, "generate_for_handler", counted)
+        with JobService(quick(), workers=1, kernel=service_kernel, max_batch=4) as service:
+            result = service.submit(Job(kind="generation")).wait(timeout=120)
+            handlers = service.context.selection.all_handlers
+        assert result.ok, result.error
+        assert len(result.events) == len(handlers) > 4
+        assert 1 < live[1] <= 4
+
+    def test_concurrent_multi_handler_jobs_match_their_solo_runs(self, service_kernel):
+        jobs = [
+            Job(kind="generation", tenant=f"{tenant}-{copy}", handlers=handlers)
+            for copy in range(2)
+            for tenant, handlers in SHARED_JOBS
+        ]
+        solo = {}
+        # max_batch=1 runs a job's sessions one at a time: the serial reference.
+        with JobService(quick(), workers=1, kernel=service_kernel, max_batch=1) as service:
+            for tenant, handlers in SHARED_JOBS:
+                alone = service.submit(Job(kind="generation", handlers=handlers)).wait(120)
+                assert alone.ok, alone.error
+                solo[handlers] = (alone.text, alone.queries)
+        # More job and session threads than cores, switching as often as the
+        # interpreter allows: a double compute or a lost memo update in a
+        # job's shared engine would change its query count.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with JobService(
+                quick(), workers=len(SHARED_JOBS), kernel=service_kernel
+            ) as service:
+                results = [handle.wait(timeout=120) for handle in service.submit_all(jobs)]
+        finally:
+            sys.setswitchinterval(interval)
+        for job, result in zip(jobs, results):
+            assert result.ok, result.error
+            assert (result.text, result.queries) == solo[job.handlers], job
+
+    def test_released_handles_are_collectable_and_clients_dropped(self, service_kernel):
+        with JobService(quick(), workers=2, kernel=service_kernel) as service:
+            handles = service.submit_all(
+                [Job(kind="generation", tenant=tenant, handlers=h) for tenant, h in SHARED_JOBS]
+            )
+            assert all(handle.wait(timeout=120).ok for handle in handles)
+            assert service.coalescer._clients == {}
+            refs = [weakref.ref(handle) for handle in handles]
+            del handles
+            deadline = time.monotonic() + 10
+            while any(ref() is not None for ref in refs) and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_max_pending_saturates(self, service_kernel):
         service = JobService(
@@ -362,6 +485,33 @@ class TestJobService:
         assert not result.ok
         assert isinstance(result.error, TenantBudgetExceeded)
         assert result.error.tenant == "capped"
+
+    def test_fuzz_job_generates_its_suite_on_the_tenant_budget(self, service_kernel):
+        from repro.experiments.context import EvaluationContext
+        from repro.fuzzer import run_campaign
+
+        ctx = EvaluationContext(quick(), service_kernel)
+        suite = ctx.kernelgpt.generate_for_handler("dm_ctl_fops").suite
+        campaign = run_campaign(service_kernel, suite, 0, 50)
+        expected = (
+            f"fuzz {suite.name} seed=0 programs={campaign.executed_programs} "
+            f"coverage={campaign.coverage_count} crashes={campaign.unique_crashes} "
+            f"corpus={campaign.corpus_size}\n"
+        )
+        with JobService(
+            quick(), workers=1, kernel=service_kernel, tenant_budgets={"capped": 3}
+        ) as service:
+            capped, free = [
+                service.submit(
+                    Job(kind="fuzz", tenant=tenant, suite="dm_ctl_fops", budget_programs=50)
+                ).wait(timeout=120)
+                for tenant in ("capped", "free")
+            ]
+        assert isinstance(capped.error, TenantBudgetExceeded)
+        assert capped.error.tenant == "capped"
+        assert free.ok, free.error
+        assert free.text == expected
+        assert free.queries > 0
 
     def test_fuzz_job_smoke(self, service_kernel):
         with JobService(quick(), workers=1, kernel=service_kernel) as service:
