@@ -44,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.baselines import build_syzkaller_corpus  # noqa: E402
 from repro.core import KernelGPT  # noqa: E402
+from repro.engine import ExecutionEngine  # noqa: E402
 from repro.extractor import KernelExtractor  # noqa: E402
 from repro.fuzzer import run_campaign, run_repeated_campaigns  # noqa: E402
 from repro.fuzzer.reference import run_reference_campaign  # noqa: E402
@@ -138,13 +139,13 @@ def measure_jobs(kernel, suites, budget: int, jobs: int) -> dict:
     started = time.perf_counter()
     run_repeated_campaigns(
         kernel, suite, repetitions=jobs, budget_programs=SETUP_PROBE_BUDGET,
-        jobs=jobs, executor="process",
+        engine=ExecutionEngine(jobs=jobs, kind="process"),
     )
     setup_seconds = time.perf_counter() - started
     started = time.perf_counter()
     sharded = run_repeated_campaigns(
         kernel, suite, repetitions=jobs, budget_programs=budget,
-        jobs=jobs, executor="process",
+        engine=ExecutionEngine(jobs=jobs, kind="process"),
     )
     total_seconds = time.perf_counter() - started
     steady_seconds = max(total_seconds - setup_seconds, 0.0)

@@ -36,7 +36,6 @@ from ..syzlang import (
     PtrType,
     ResourceDef,
     ResourceRef,
-    SpecCorpus,
     SpecSuite,
     SpecValidator,
     StringType,
@@ -113,14 +112,6 @@ class SyzDescribe:
 
     def analyze_all(self, handler_names: list[str]) -> dict[str, SyzDescribeResult]:
         return {name: self.analyze_handler(name) for name in handler_names}
-
-    def build_corpus(self, handler_names: list[str]) -> SpecCorpus:
-        """Corpus of every valid specification among the given handlers."""
-        corpus = SpecCorpus("syzdescribe")
-        for name, result in self.analyze_all(handler_names).items():
-            if result.valid and result.suite is not None:
-                corpus.add(name, result.suite)
-        return corpus
 
     # ---------------------------------------------------------------- rules
     def _device_path(self, usage_snippets: tuple[str, ...]) -> str | None:

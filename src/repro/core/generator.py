@@ -20,19 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..engine import ExecutionEngine, POOL_PAYLOAD, TaskSpec, resolve_engine
+from ..engine import ExecutionEngine, POOL_PAYLOAD, TaskSpec
 from ..errors import ExtractionError, GenerationError, SyzlangParseError
 from ..extractor import HandlerInfo, KernelExtractor
 from ..kernel import KernelCodebase
-from ..llm import (
-    Completion,
-    LLMBackend,
-    LLMRequest,
-    OracleBackend,
-    Prompt,
-    PromptLibrary,
-    parse_reply,
-)
+from ..llm import LLMBackend, OracleBackend, PromptLibrary, parse_reply
 from ..syzlang import (
     ArrayType,
     ConstType,
@@ -289,18 +281,6 @@ class KernelGPT:
         return state
 
     # ----------------------------------------------------- engine plumbing
-    def query(self, prompt: Prompt) -> Completion:
-        """One LLM query, memoized by the engine's single-flight cache if present."""
-        if self.engine is not None:
-            return self.engine.cached_query(self.backend, prompt, route=self.backend_route)
-        return self.backend.complete_batch((LLMRequest(prompt=prompt, route=self.backend_route),))[0]
-
-    def extract_code(self, identifier: str) -> str:
-        """One extractor lookup, memoized by the engine cache if present."""
-        if self.engine is not None:
-            return self.engine.cached_extract(self.extractor, identifier)
-        return self.extractor.extract_code(identifier)
-
     def session(
         self,
         handler_name: str,
@@ -346,19 +326,16 @@ class KernelGPT:
         self,
         handler_names: list[str],
         *,
-        jobs: int = 1,
         engine: ExecutionEngine | None = None,
-        executor: str | None = None,
     ) -> GenerationRun:
         """Generate specifications for many handlers (a full campaign).
 
-        Handlers fan out across the engine's executor (``jobs`` workers; an
-        explicit ``engine`` overrides both ``jobs`` and the instance engine,
-        and ``executor`` names the pool flavour — ``serial``/``thread``/
-        ``process`` — when a fresh engine is created for the fan-out).
-        Sessions are independent, so any schedule produces the same
-        :class:`GenerationRun`: results are keyed in ``handler_names`` order
-        and each handler's suite is byte-identical to a serial run.
+        Handlers fan out across the engine's executor (an explicit
+        ``engine`` overrides the instance engine; with neither, handlers
+        run serially).  Sessions are independent, so any schedule produces
+        the same :class:`GenerationRun`: results are keyed in
+        ``handler_names`` order and each handler's suite is byte-identical
+        to a serial run.
 
         Task payloads are picklable (module-level function + dataclass
         args; see :mod:`repro.core.tasks`), so the fan-out works unchanged
@@ -368,9 +345,7 @@ class KernelGPT:
         """
         run = GenerationRun()
         tasks = [GenerationTask(handler_name) for handler_name in handler_names]
-        for task, result in zip(
-            tasks, self.run_generation_tasks(tasks, jobs=jobs, engine=engine, executor=executor)
-        ):
+        for task, result in zip(tasks, self.run_generation_tasks(tasks, engine=engine)):
             if result is not None:
                 run.results[task.handler_name] = result
         return run
@@ -379,9 +354,7 @@ class KernelGPT:
         self,
         tasks: "list[GenerationTask]",
         *,
-        jobs: int = 1,
         engine: ExecutionEngine | None = None,
-        executor: str | None = None,
     ) -> "list[GenerationResult | None]":
         """Run a batch of generation task payloads, one result per task.
 
@@ -393,14 +366,15 @@ class KernelGPT:
         memory, worker usage/exchanges are merged into this generator's
         backend after the batch, in submission order.
         """
-        engine = resolve_engine(engine or self.engine, jobs, kind=executor)
+        engine = engine or self.engine
         if engine is None:
             return [run_generation_task(self, task).result for task in tasks]
         shared = engine.shares_memory
         # The generator is the batch's shared payload: in-memory executors
-        # pass it by reference, process pools pickle it once per worker via
-        # the pool initializer (instead of once per task in every args
-        # tuple) and workers resolve the sentinel against their copy.
+        # pass it by reference, process pools pickle it once per batch and
+        # unpickle it once per worker via the pool initializer (instead of
+        # once per task in every args tuple) and workers resolve the
+        # sentinel against their copy.
         specs = [
             TaskSpec(
                 key=f"{task.handler_name}@{task.mode}"
@@ -724,8 +698,7 @@ class KernelGPT:
         parts.extend(info.usage_snippets)
         return "\n\n".join(part for part in parts if part)
 
-    def _dispatch_code(self, info: HandlerInfo, *, extract=None) -> str:
-        extract = extract or self.extract_code
+    def _dispatch_code(self, info: HandlerInfo, *, extract) -> str:
         parts: list[str] = []
         if info.ioctl_fn and self.extractor.has_definition(info.ioctl_fn):
             parts.append(extract(info.ioctl_fn))
@@ -736,8 +709,7 @@ class KernelGPT:
             parts.insert(0, info.initializer_text)
         return "\n\n".join(parts) if parts else info.initializer_text
 
-    def _op_code(self, info: HandlerInfo, op: DiscoveredOp, *, extract=None) -> str:
-        extract = extract or self.extract_code
+    def _op_code(self, info: HandlerInfo, op: DiscoveredOp, *, extract) -> str:
         if op.handler_fn and self.extractor.has_definition(op.handler_fn):
             return extract(op.handler_fn)
         # Socket options: the dispatch function contains the per-option logic.

@@ -2,20 +2,18 @@
 
 The engine is the repository's one scheduling substrate: task specs with
 per-task seeds, pluggable serial/thread/process executors behind
-``jobs``/``kind`` knobs, a :class:`GlobalWorkerBudget` that nested pools
-lease workers from (so fan-out inside fan-out cannot oversubscribe the
-host), single-flight memo caches (extractor lookups, LLM queries) with
-hit/miss statistics, and per-stage wall-time instrumentation.  The layers
-above — spec generation (``repro.core``), fuzz campaigns (``repro.fuzzer``)
-and the experiment runner (``repro.experiments``) — all fan their work
-through it; results are always returned in submission order, which is the
-invariant that makes ``jobs=1`` and ``jobs=N`` runs byte-identical on any
-executor kind.
+``jobs``/``kind`` knobs (a batch gets min(jobs, CPU count, task count)
+workers; pools never nest), single-flight memo caches (extractor lookups,
+LLM queries) with hit/miss statistics, and per-stage wall-time
+instrumentation.  The layers above — spec generation
+(``repro.core``), fuzz campaigns (``repro.fuzzer``) and the experiment
+runner (``repro.experiments``) — all fan their work through it; results
+are always returned in submission order, which is the invariant that makes
+``jobs=1`` and ``jobs=N`` runs byte-identical on any executor kind.
 """
 
-from .budget import GlobalWorkerBudget, get_global_worker_budget, set_global_worker_budget
 from .cache import CacheStats, MemoCache
-from .engine import ExecutionEngine, resolve_engine
+from .engine import ExecutionEngine
 from .executors import (
     Executor,
     ProcessPoolExecutor,
@@ -29,10 +27,6 @@ from .tasks import POOL_PAYLOAD, TaskResult, TaskSpec, derive_seed, substitute_p
 
 __all__ = [
     "ExecutionEngine",
-    "resolve_engine",
-    "GlobalWorkerBudget",
-    "get_global_worker_budget",
-    "set_global_worker_budget",
     "Executor",
     "SerialExecutor",
     "ThreadPoolExecutor",

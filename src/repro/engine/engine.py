@@ -24,7 +24,6 @@ import threading
 from typing import Sequence
 
 from ..llm import LLMRequest
-from .budget import GlobalWorkerBudget
 from .cache import MemoCache
 from .executors import Executor, create_executor
 from .profile import EngineProfile
@@ -40,11 +39,10 @@ class ExecutionEngine:
         jobs: int = 1,
         kind: str = "thread",
         executor: Executor | None = None,
-        budget: "GlobalWorkerBudget | None" = None,
         store: "object | None" = None,
     ):
         self.jobs = max(1, jobs)
-        self.executor = executor or create_executor(self.jobs, kind, budget=budget)
+        self.executor = executor or create_executor(self.jobs, kind)
         #: Optional :class:`~repro.store.StoreBinding`: the persistent
         #: complement to the memo caches.  The caches stay the first line
         #: (in-memory, single-flight); the store is consulted *inside* their
@@ -85,8 +83,8 @@ class ExecutionEngine:
         is re-raised after the whole batch finished; ``rethrow=False`` leaves
         failures in ``TaskResult.error`` for the caller to triage.
         ``payload`` is the batch's shared object, referenced from task args
-        via the ``POOL_PAYLOAD`` sentinel and shipped once per worker (see
-        :meth:`Executor.run`).
+        via the ``POOL_PAYLOAD`` sentinel and pickled at most once per batch
+        (see :meth:`Executor.run`).
         """
         with self.profile.measure(stage):
             results = self.executor.run(tasks, payload=payload)
@@ -201,24 +199,4 @@ class ExecutionEngine:
         }
 
 
-def resolve_engine(
-    engine: ExecutionEngine | None, jobs: int = 1, *, kind: str | None = None
-) -> ExecutionEngine | None:
-    """Resolve an optional engine + ``jobs``/``kind`` knobs into a dispatch engine.
-
-    Returns the engine to dispatch tasks through, or ``None`` when the
-    caller should take its plain serial path (no engine at all).  A supplied
-    engine is always used — a serial one dispatches through the serial
-    executor, so its caches and profile still see the work — and ``jobs>1``
-    gets a fresh engine when the supplied one is serial (so the knob is
-    never silently a no-op).  ``kind`` names the executor flavour for that
-    fresh engine (``serial``/``thread``/``process``); it never overrides an
-    explicit engine.  This is the one place the fallback policy lives;
-    generation and the fuzz-campaign drivers all route through it.
-    """
-    if jobs > 1 and (engine is None or engine.jobs <= 1):
-        engine = ExecutionEngine(jobs=jobs, kind=kind or "thread")
-    return engine
-
-
-__all__ = ["ExecutionEngine", "resolve_engine"]
+__all__ = ["ExecutionEngine"]

@@ -5,14 +5,11 @@ Every executor honours the same contract:
 * results come back in **submission order**, regardless of completion order;
 * a task that raises is captured as a :class:`TaskResult` with ``error`` set
   (it never aborts sibling tasks);
-* each ``run()`` call owns its worker pool.  Pools are created per call and
-  torn down afterwards, so nested fan-out (an experiment task fanning out
-  per-handler generation tasks) can never deadlock on a shared saturated
-  pool — the inner call simply gets fresh workers.
-* pool sizes are leased from a :class:`~repro.engine.budget.GlobalWorkerBudget`
-  when one is attached, so nested fan-out at ``--jobs N`` cannot oversubscribe
-  the host: an inner pool created while the budget is exhausted degrades to a
-  single worker instead of stacking ``N`` more.
+* each ``run()`` call owns its worker pool, created per call and torn down
+  afterwards, with ``min(jobs, len(tasks))`` workers.
+  :func:`create_executor` caps ``jobs`` at the host's CPU count.  Pools
+  never nest: every shared context runs a serial engine, so a pool's tasks
+  do not fan out pools of their own.
 
 The thread-pool executor is the default for in-process work that shares
 caches and backends; the process-pool executor exists for picklable
@@ -28,12 +25,11 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
+import pickle
 import threading
 import time
-from contextlib import nullcontext
 from typing import Sequence
 
-from .budget import GlobalWorkerBudget, get_global_worker_budget
 from .tasks import TaskResult, TaskSpec, substitute_payload
 
 #: The once-per-worker shared payload a process pool's initializer installs.
@@ -44,10 +40,10 @@ from .tasks import TaskResult, TaskSpec, substitute_payload
 _pool_payload: object = None
 
 
-def _install_pool_payload(payload: object) -> None:
+def _install_pool_payload(payload: bytes) -> None:
     """Process-pool initializer: unpickle the shared payload once per worker."""
     global _pool_payload
-    _pool_payload = payload
+    _pool_payload = pickle.loads(payload)
 
 
 def execute_task(task: TaskSpec) -> TaskResult:
@@ -70,17 +66,6 @@ def execute_task(task: TaskSpec) -> TaskResult:
     return result
 
 
-def _execute_task_with_slot(task: TaskSpec, budget: GlobalWorkerBudget) -> TaskResult:
-    """Run one task with the worker thread marked as a budget-slot holder.
-
-    Thread pools with a budget submit through this wrapper so a task that
-    fans out a nested pool can donate the slot it holds while it blocks
-    (see :meth:`GlobalWorkerBudget.reclaimed_for_nested`).
-    """
-    with budget.held_slot():
-        return execute_task(task)
-
-
 class Executor(abc.ABC):
     """Runs a batch of tasks and returns results in submission order."""
 
@@ -98,8 +83,9 @@ class Executor(abc.ABC):
         ``payload`` is an optional object shared by the whole batch, which
         tasks reference through the :data:`~repro.engine.tasks.POOL_PAYLOAD`
         sentinel in their args/kwargs.  In-memory executors hand it to
-        tasks by reference; a process pool pickles it **once per worker**
-        (via the pool initializer) instead of once per task.
+        tasks by reference; a process pool pickles it **once per batch**
+        and each worker unpickles it once (via the pool initializer),
+        instead of once per task.
         """
 
 
@@ -116,13 +102,12 @@ class SerialExecutor(Executor):
 
 
 class _PoolExecutor(Executor):
-    """Shared machinery for the pool executors: sizing, leasing, ordering."""
+    """Shared machinery for the pool executors: sizing and ordering."""
 
     pool_factory: type
 
-    def __init__(self, jobs: int = 4, *, budget: GlobalWorkerBudget | None = None):
+    def __init__(self, jobs: int = 4):
         self.jobs = max(1, jobs)
-        self.budget = budget
 
     def _pool_kwargs(self, payload: object) -> dict:
         """Extra pool-construction kwargs (process pools install the payload)."""
@@ -133,24 +118,10 @@ class _PoolExecutor(Executor):
             return []
         if payload is not None and self.shares_memory:
             tasks = [substitute_payload(task, payload) for task in tasks]
-        wanted = min(self.jobs, len(tasks))
-        if self.budget is not None:
-            reclaim = self.budget.reclaimed_for_nested()
-            lease = self.budget.workers(wanted)
-        else:
-            reclaim = nullcontext()
-            lease = nullcontext(wanted)
-        with reclaim:
-            with lease as workers:
-                with self.pool_factory(max_workers=workers, **self._pool_kwargs(payload)) as pool:
-                    if self.shares_memory and self.budget is not None:
-                        futures = [
-                            pool.submit(_execute_task_with_slot, task, self.budget)
-                            for task in tasks
-                        ]
-                    else:
-                        futures = [pool.submit(execute_task, task) for task in tasks]
-                    return [future.result() for future in futures]
+        workers = min(self.jobs, len(tasks))
+        with self.pool_factory(max_workers=workers, **self._pool_kwargs(payload)) as pool:
+            futures = [pool.submit(execute_task, task) for task in tasks]
+            return [future.result() for future in futures]
 
 
 class ThreadPoolExecutor(_PoolExecutor):
@@ -174,40 +145,33 @@ class ProcessPoolExecutor(_PoolExecutor):
     pool_factory = concurrent.futures.ProcessPoolExecutor
 
     def _pool_kwargs(self, payload: object) -> dict:
-        # The shared payload pickles once per worker through the pool
-        # initializer, instead of once per task inside every task's args.
+        # The shared payload pickles once per batch, here in the parent, and
+        # each worker unpickles it once through the pool initializer instead
+        # of once per task.  Pickling it ourselves keeps its __getstate__
+        # contract under the fork start method too, which would otherwise
+        # hand workers the parent's live object (engine, coalescer handles
+        # bound to threads the child does not have).
         if payload is None:
             return {}
-        return {"initializer": _install_pool_payload, "initargs": (payload,)}
+        return {"initializer": _install_pool_payload, "initargs": (pickle.dumps(payload),)}
 
 
-def create_executor(
-    jobs: int = 1,
-    kind: str = "thread",
-    *,
-    cap_to_cpus: bool = True,
-    budget: GlobalWorkerBudget | None = None,
-) -> Executor:
+def create_executor(jobs: int = 1, kind: str = "thread") -> Executor:
     """Pick an executor for a ``jobs`` level (``jobs<=1`` is always serial).
 
-    With ``cap_to_cpus`` (the default policy) the pool leases its workers
-    from the process-wide :class:`GlobalWorkerBudget`, which is sized to the
-    host's CPU count: the engine's workloads are CPU-bound pure Python, so
-    oversubscribing cores only adds scheduler thrash, and nested pools at
-    ``--jobs N`` would otherwise stack ``N`` workers per level.  Callers that
-    want latency-hiding oversubscription (or a deterministic pool shape in
-    tests) pass ``cap_to_cpus=False`` or hand the engine an explicit
-    executor; an explicit ``budget`` overrides the global one.
+    Pools get ``min(jobs, os.cpu_count())`` workers: the engine's workloads
+    are CPU-bound pure Python, so oversubscribing cores only adds scheduler
+    thrash.  Callers that want a pool shape independent of the host (tests,
+    latency-hiding oversubscription) hand the engine an explicit executor.
     """
     if kind not in ("serial", "thread", "process"):
         raise ValueError(f"unknown executor kind {kind!r}; choose serial, thread or process")
     if jobs <= 1 or kind == "serial":
         return SerialExecutor()
-    if budget is None and cap_to_cpus:
-        budget = get_global_worker_budget()
+    workers = min(jobs, os.cpu_count() or 1)
     if kind == "thread":
-        return ThreadPoolExecutor(jobs, budget=budget)
-    return ProcessPoolExecutor(jobs, budget=budget)
+        return ThreadPoolExecutor(workers)
+    return ProcessPoolExecutor(workers)
 
 
 __all__ = [

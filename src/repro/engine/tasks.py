@@ -28,8 +28,9 @@ class _PoolPayloadSentinel:
     process pool re-pickled them once **per task**.  Callers now pass the
     object once as ``run(tasks, payload=...)`` and put this sentinel where
     it belongs in the args; executors substitute the real payload — shared
-    by reference on in-memory executors, shipped once per worker process
-    via the pool initializer on process pools.
+    by reference on in-memory executors, pickled once per batch and
+    unpickled once per worker process via the pool initializer on process
+    pools.
 
     Identity is class-based (``isinstance``), not object-based, so the
     sentinel survives pickling into process workers.
@@ -100,12 +101,6 @@ class TaskResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def unwrap(self) -> Any:
-        """Return the value, re-raising the task's exception if it failed."""
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 __all__ = ["TaskSpec", "TaskResult", "derive_seed", "POOL_PAYLOAD", "substitute_payload"]

@@ -333,13 +333,12 @@ class AdmissionError(ReproError):
 
 
 class ServiceSaturated(AdmissionError):
-    """Raised when the job service (or a worker budget) cannot admit more work.
+    """Raised when the job service cannot admit more work.
 
     Attributes
     ----------
     limit:
-        The admission limit that was hit (queue capacity or worker slots),
-        when known.
+        The admission limit that was hit (queue capacity), when known.
     pending:
         How much work was already admitted at refusal time, when known.
     """

@@ -106,9 +106,6 @@ class InitializerDecl:
                 return value
         return None
 
-    def has_field(self, name: str) -> bool:
-        return self.field_value(name) is not None
-
 
 @dataclass
 class TranslationUnit:

@@ -60,9 +60,6 @@ class FuzzCampaign:
         # the lazily-materialised label set.
         return len(self.coverage.labels() - set(baseline))
 
-    def found_bug(self, bug_id: str) -> bool:
-        return bug_id in self.crash_log.observations
-
 
 class Fuzzer:
     """One fuzzing session over a specification suite."""
@@ -156,22 +153,18 @@ def run_repeated_campaigns(
     repetitions: int = 3,
     budget_programs: int = 2000,
     base_seed: int = 0,
-    jobs: int = 1,
     engine: "ExecutionEngine | None" = None,
-    executor: str | None = None,
 ) -> list[FuzzCampaign]:
     """Run the same campaign with different seeds (the paper uses 3 repetitions).
 
-    With ``jobs > 1`` (or an explicit ``engine``) the repetitions fan out
-    across workers, each with its own :class:`Fuzzer` and :class:`VMPool`;
-    ``executor`` picks the pool flavour (``serial``/``thread``/``process``)
-    when a fresh engine is created.  Campaign tasks are pure module-level
-    functions of picklable arguments, so the process pool needs no extra
-    plumbing.  Seeds depend only on the repetition index and results are
-    returned in repetition order, so the campaign list is identical for any
-    ``jobs`` and executor kind.
+    With an ``engine`` the repetitions fan out across its workers, each
+    with its own :class:`Fuzzer` and :class:`VMPool`.  Campaign tasks are
+    pure module-level functions of picklable arguments, so the process pool
+    needs no extra plumbing.  Seeds depend only on the repetition index and
+    results are returned in repetition order, so the campaign list is
+    identical for any ``jobs`` and executor kind.
     """
-    from ..engine import TaskSpec, resolve_engine
+    from ..engine import TaskSpec
 
     # Register the kernel's coverage space in this process before any
     # fan-out: worker campaigns pickle their bitmaps by space digest, and
@@ -179,7 +172,6 @@ def run_repeated_campaigns(
     CoverageSpace.for_kernel(kernel)
 
     seeds = [base_seed + repetition * 1009 for repetition in range(repetitions)]
-    engine = resolve_engine(engine, jobs, kind=executor)
     if engine is None:
         return [run_campaign(kernel, suite, seed, budget_programs) for seed in seeds]
 
@@ -202,9 +194,7 @@ def run_campaign_matrix(
     repetitions: int = 3,
     budget_programs: int = 2000,
     base_seed: int = 0,
-    jobs: int = 1,
     engine: "ExecutionEngine | None" = None,
-    executor: str | None = None,
 ) -> "dict[str, list[FuzzCampaign]]":
     """Run repeated campaigns for several suites as one flat task batch.
 
@@ -213,7 +203,7 @@ def run_campaign_matrix(
     by suite label, each group in repetition order — identical to calling
     :func:`run_repeated_campaigns` per suite serially, for any executor kind.
     """
-    from ..engine import TaskSpec, resolve_engine
+    from ..engine import TaskSpec
 
     CoverageSpace.for_kernel(kernel)  # parent-side digest registration (see above)
 
@@ -223,7 +213,6 @@ def run_campaign_matrix(
         for repetition in range(repetitions)
     ]
     grouped: dict[str, list[FuzzCampaign]] = {label: [] for label in suites}
-    engine = resolve_engine(engine, jobs, kind=executor)
     if engine is None:
         for label, seed in pairs:
             grouped[label].append(run_campaign(kernel, suites[label], seed, budget_programs))

@@ -85,8 +85,5 @@ class Program:
             append(Call(call.syscall, call.spec_name, args))
         return Program(cloned_calls)
 
-    def spec_names(self) -> tuple[str, ...]:
-        return tuple(call.spec_name for call in self.calls)
-
 
 __all__ = ["StructValue", "BytesValue", "ResourceValue", "Call", "Program", "Value"]

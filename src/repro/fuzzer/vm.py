@@ -44,11 +44,5 @@ class VMPool:
         if crashed:
             vm.reboots += 1
 
-    def total_executions(self) -> int:
-        return sum(vm.executions for vm in self.instances)
-
-    def total_reboots(self) -> int:
-        return sum(vm.reboots for vm in self.instances)
-
 
 __all__ = ["VMInstance", "VMPool"]

@@ -17,7 +17,7 @@ configurations actually reached each predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,6 @@ class BugCatalog:
 
     def __iter__(self) -> Iterator[KernelBug]:
         return iter(self._bugs.values())
-
-    def by_subsystem(self) -> Mapping[str, list[KernelBug]]:
-        grouped: dict[str, list[KernelBug]] = {}
-        for bug in self._bugs.values():
-            grouped.setdefault(bug.subsystem, []).append(bug)
-        return grouped
-
-    def by_handler(self, handler: str) -> list[KernelBug]:
-        return [bug for bug in self._bugs.values() if bug.handler == handler]
 
     def counts(self) -> dict[str, int]:
         """Summary counts matching the bottom row of Table 4."""

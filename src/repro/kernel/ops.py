@@ -410,12 +410,6 @@ class SocketTruth:
         names.extend(op.interface_name for op in self.ops)
         return tuple(names)
 
-    def op_by_interface(self, interface: str) -> SockOp | None:
-        for op in self.ops:
-            if op.interface_name == interface:
-                return op
-        return None
-
     def struct_by_name(self, name: str) -> StructTruth | None:
         for struct in self.structs:
             if struct.name == name:

@@ -4,11 +4,11 @@ The scheduler walks a validated :class:`~repro.orchestrator.plan.CampaignPlan`
 in waves: every task whose dependencies have completed is dispatched — in
 topological order with the plan's stable tie-break — as one engine wave
 through :meth:`~repro.engine.ExecutionEngine.run_tasks`, so the same
-serial/thread/process executors (and the global worker budget) that run the
-flat experiments run campaigns too.  Determinism is scheduler-side: events
-are emitted only from the coordinating thread, in dispatch order for starts
-and submission order for completions, so two equivalent runs produce
-byte-identical event sequences (rule 10) no matter how workers interleave.
+serial/thread/process executors that run the flat experiments run campaigns
+too.  Determinism is scheduler-side: events are emitted only from the
+coordinating thread, in dispatch order for starts and submission order for
+completions, so two equivalent runs produce byte-identical event sequences
+(rule 10) no matter how workers interleave.
 
 Task payloads are process-portable by construction: a frozen
 :class:`TaskPayload` carrying the plan's :class:`ExperimentConfig` plus plain

@@ -45,7 +45,11 @@ def parse_job(entry: str) -> Job:
         return Job(kind=kind, tenant=tenant, experiment=spec)
     if kind == "fuzz":
         suite, _, seed = spec.partition("@")
-        return Job(kind=kind, tenant=tenant, suite=suite, seed=int(seed) if seed else 0)
+        try:
+            seed_value = int(seed) if seed else 0
+        except ValueError:
+            raise SystemExit(f"--job {entry!r}: seed {seed!r} is not an integer") from None
+        return Job(kind=kind, tenant=tenant, suite=suite, seed=seed_value)
     handlers = tuple(part.strip() for part in spec.split(",") if part.strip())
     return Job(kind=kind, tenant=tenant, handlers=handlers)
 

@@ -12,11 +12,10 @@ job's LLM traffic goes through a per-job
 merge into single ``complete_batch`` calls per pool member while per-job
 and per-tenant accounting stay exact.
 
-Admission is explicit and typed: worker threads are *admitted* (not leased)
-from a :class:`~repro.engine.GlobalWorkerBudget` at construction, a full
-queue refuses with :class:`~repro.errors.ServiceSaturated`, and tenant
-exhaustion surfaces as :class:`~repro.errors.TenantBudgetExceeded` from the
-job that overran.
+Admission is explicit and typed: the service starts its ``workers``
+serving threads at construction, a full queue refuses with
+:class:`~repro.errors.ServiceSaturated`, and tenant exhaustion surfaces as
+:class:`~repro.errors.TenantBudgetExceeded` from the job that overran.
 
 A generation job runs its handlers as concurrent sessions on a job-scoped
 thread pool, so their round trips share coalesced flushes; the text and the
@@ -39,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..engine import ExecutionEngine, GlobalWorkerBudget
+from ..engine import ExecutionEngine
 from ..errors import ServiceSaturated, TransientBackendError
 from ..experiments.config import ExperimentConfig
 from ..experiments.context import EvaluationContext
@@ -64,7 +63,6 @@ class JobService:
         executor: str = "thread",
         tenant_budgets: dict[str, int] | None = None,
         backend: LLMBackend | None = None,
-        budget: GlobalWorkerBudget | None = None,
         kernel: KernelCodebase | None = None,
         store: "object | None" = None,
         job_retries: int = 0,
@@ -122,16 +120,9 @@ class JobService:
         self.engine_jobs = max(1, engine_jobs)
         self.executor = executor
         self.max_pending = max_pending
-        # Serving threads are admitted, not silently degraded: a host whose
-        # worker budget cannot fund even one serving thread should refuse
-        # loudly (ServiceSaturated) rather than run a zero-throughput
-        # service.  Serving threads spend their lives blocked on coalescer
-        # events, so the service defaults to its own budget sized to
-        # ``workers`` instead of competing with compute pools for the
-        # CPU-count default.
-        self._budget = budget or GlobalWorkerBudget(limit=workers)
-        self._granted = self._budget.admit(workers, required=1)
-        self.workers = self._granted
+        # Serving threads spend their lives blocked on coalescer events, so
+        # their count is not capped at the CPU count.
+        self.workers = max(1, workers)
         self._queue: queue.Queue[tuple[str, Job, JobHandle] | None] = queue.Queue()
         self._lock = threading.Lock()
         self._pending = 0
@@ -284,7 +275,7 @@ class JobService:
         # the job costs its longest handler chain, not the sum.  A flush
         # carries at most max_batch requests, so more sessions could not
         # share a round trip.  The threads wait on round trips rather than
-        # compute, so they are not leased from the CPU worker budget.
+        # compute, so they are not capped at the CPU count.
         sessions = ThreadPoolExecutor(
             max_workers=min(len(handlers), self.coalescer.max_batch),
             thread_name_prefix="job-session",
@@ -368,7 +359,7 @@ class JobService:
 
     # --------------------------------------------------------------- lifecycle
     def stats(self) -> dict:
-        """Service-level accounting: load, budget, coalescer, tenants."""
+        """Service-level accounting: load, coalescer, tenants."""
         with self._lock:
             load = {
                 "workers": self.workers,
@@ -378,7 +369,6 @@ class JobService:
             }
         return {
             **load,
-            "budget": self._budget.stats(),
             "coalescer": self.coalescer.stats(),
             "tenants": self.coalescer.tenant_usage(),
         }
@@ -405,7 +395,7 @@ class JobService:
             time.sleep(0.005)
 
     def close(self) -> None:
-        """Stop accepting work, drain the workers, release the budget."""
+        """Stop accepting work and drain the workers."""
         with self._lock:
             if self._terminated:
                 return
@@ -416,7 +406,6 @@ class JobService:
         for thread in self._threads:
             thread.join(timeout=30.0)
         self.coalescer.close()
-        self._budget.release(self._granted)
 
     def __enter__(self) -> "JobService":
         return self

@@ -44,10 +44,6 @@ class FrozenLock:
         entry = self._entries.get(canonical)
         return entry[1] if entry is not None else None
 
-    def kind_for(self, canonical: str) -> str | None:
-        entry = self._entries.get(canonical)
-        return entry[0] if entry is not None else None
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -285,15 +285,6 @@ class SpecSuite:
         """Remove a syscall description; returns True if it existed."""
         return self._syscalls.pop(full_name, None) is not None
 
-    def remove_definition(self, name: str) -> bool:
-        """Remove a struct/union/resource/flags definition by name."""
-        removed = False
-        for table in (self._structs, self._unions, self._resources, self._flags):
-            if name in table:
-                del table[name]
-                removed = True
-        return removed
-
     def get_syscall(self, full_name: str) -> Syscall:
         try:
             return self._syscalls[full_name]
@@ -394,12 +385,6 @@ class SpecSuite:
             if name in self._unions:
                 subset._unions[name] = self._unions[name]
         return subset
-
-    def producers_of(self, resource_name: str) -> tuple[Syscall, ...]:
-        """Return syscalls whose return value is the given resource."""
-        return tuple(
-            syscall for syscall in self._syscalls.values() if syscall.produced_resource() == resource_name
-        )
 
     def produced_resources(self) -> set[str]:
         """Return every resource some syscall in the suite can create.

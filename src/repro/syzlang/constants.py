@@ -10,18 +10,13 @@ use.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from ..errors import SyzlangError
 
 
 class ConstantTable:
-    """A mapping from macro identifiers to integer values.
-
-    The table also supports reverse lookup (value → names), which the
-    experiments use to render human-readable reports, and namespacing by
-    source file, which mirrors how ``syz-extract`` scopes constants.
-    """
+    """A mapping from macro identifiers to integer values."""
 
     def __init__(self, values: Mapping[str, int] | None = None):
         self._values: dict[str, int] = dict(values or {})
@@ -62,10 +57,6 @@ class ConstantTable:
     def get(self, name: str, default: int | None = None) -> int | None:
         return self._values.get(name, default)
 
-    def names_for(self, value: int) -> tuple[str, ...]:
-        """Return every macro name bound to ``value`` (reverse lookup)."""
-        return tuple(sorted(name for name, bound in self._values.items() if bound == value))
-
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(sorted(self._values.items()))
 
@@ -80,14 +71,6 @@ class ConstantTable:
 
     def copy(self) -> "ConstantTable":
         return ConstantTable(self._values)
-
-    @classmethod
-    def from_defines(cls, defines: Iterable[tuple[str, int]]) -> "ConstantTable":
-        """Build a table from an iterable of ``(name, value)`` pairs."""
-        table = cls()
-        for name, value in defines:
-            table.define(name, value, allow_redefine=True)
-        return table
 
 
 #: Constants that the simulated libc/kernel ABI always knows about, mirroring

@@ -229,10 +229,6 @@ class PtrType(TypeExpr):
     def byte_size(self, resolver: TypeSizeResolver | None = None) -> int:
         return POINTER_SIZE
 
-    def pointee_size(self, resolver: TypeSizeResolver | None = None) -> int:
-        """Return the size of the pointed-to object."""
-        return self.elem.byte_size(resolver)
-
     def is_output(self) -> bool:
         return self.direction == "out"
 

@@ -11,7 +11,7 @@ valid-or-exhausted equivalent to the per-query loop (see
 ``test_transactional_repair_matrix``).  Executors are constructed
 explicitly (not via ``create_executor``) so
 the matrix exercises real thread/process pools even on a single-core CI
-host, where the default budget policy would lease them down to one worker.
+host, where ``create_executor`` would cap them at one worker.
 """
 
 import pytest

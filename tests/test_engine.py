@@ -5,14 +5,16 @@ The contract under test is the one the parallel refactor rests on: any
 coverage/crash sets, and schedule-independent cache accounting.
 """
 
+import concurrent.futures
+import os
 import threading
 
 import pytest
 
 from repro.core import KernelGPT
 from repro.engine import (
+    POOL_PAYLOAD,
     ExecutionEngine,
-    GlobalWorkerBudget,
     MemoCache,
     ProcessPoolExecutor,
     SerialExecutor,
@@ -20,8 +22,6 @@ from repro.engine import (
     ThreadPoolExecutor,
     create_executor,
     derive_seed,
-    get_global_worker_budget,
-    set_global_worker_budget,
 )
 from repro.fuzzer import (
     merge_campaigns,
@@ -78,11 +78,9 @@ def test_executor_captures_errors_without_aborting_siblings():
 
 def test_create_executor_kinds():
     assert create_executor(1).name == "serial"
-    # cap_to_cpus=False sidesteps the worker budget so the test is
-    # independent of how many cores the CI box happens to have.
-    assert create_executor(4, cap_to_cpus=False).name == "thread"
-    assert create_executor(4, "process", cap_to_cpus=False).name == "process"
-    assert create_executor(4, cap_to_cpus=True).jobs <= max(4, 1)
+    assert create_executor(4, "serial").name == "serial"
+    assert create_executor(4).name == "thread"
+    assert create_executor(4, "process").name == "process"
     with pytest.raises(ValueError):
         create_executor(4, "quantum")
 
@@ -94,60 +92,33 @@ def test_executor_memory_sharing_flags():
     assert ExecutionEngine(jobs=2, executor=ProcessPoolExecutor(2)).shares_memory is False
 
 
-# -------------------------------------------------------------------- budget
-def test_worker_budget_leases_and_releases():
-    budget = GlobalWorkerBudget(limit=4)
-    assert budget.lease(3) == 3
-    assert budget.lease(3) == 1          # only 1 slot left
-    # Exhausted budgets still grant one worker: nested pools must always be
-    # able to make progress (deadlock-freedom beats strict capping).
-    assert budget.lease(2) == 1
-    assert budget.leased == 5
-    budget.release(5)
-    assert budget.leased == 0
-    assert budget.stats()["peak"] == 5
+# ----------------------------------------------------------------- pool size
+def test_pool_size_is_capped_by_cpus_and_batch(monkeypatch):
+    """A pool gets min(jobs, cpu_count) workers; a batch at most one per task."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for kind in ("thread", "process"):
+        assert create_executor(8, kind).jobs == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for kind in ("thread", "process"):
+        assert create_executor(2, kind).jobs == 2
 
+    sizes, observed = [], set()
 
-def test_worker_budget_caps_pool_size():
-    budget = GlobalWorkerBudget(limit=2)
-    observed = []
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
 
     def probe(i):
-        observed.append(threading.current_thread().name)
+        observed.add(threading.current_thread().name)
         return i
 
-    pool = ThreadPoolExecutor(8, budget=budget)
-    results = pool.run([TaskSpec(key=str(i), fn=probe, args=(i,)) for i in range(16)])
-    assert [r.value for r in results] == list(range(16))
-    assert len(set(observed)) <= 2        # pool leased at most 2 workers
-    assert budget.leased == 0             # fully released after the batch
-
-
-def test_worker_budget_is_shared_across_nested_pools():
-    budget = GlobalWorkerBudget(limit=3)
-
-    def inner_batch(i):
-        inner = ThreadPoolExecutor(4, budget=budget)
-        inner_results = inner.run([TaskSpec(key=f"{i}.{j}", fn=lambda j=j: j) for j in range(4)])
-        return [r.value for r in inner_results]
-
-    outer = ThreadPoolExecutor(3, budget=budget)
-    results = outer.run([TaskSpec(key=str(i), fn=inner_batch, args=(i,)) for i in range(3)])
-    assert [r.value for r in results] == [[0, 1, 2, 3]] * 3
-    assert budget.leased == 0
-    # Outer leased up to 3; each inner pool could only add its deadlock-
-    # freedom minimum of one, so the peak stays bounded by limit + nesting.
-    assert budget.peak <= 3 + 3
-
-
-def test_default_budget_swap_roundtrip():
-    original = get_global_worker_budget()
-    replacement = GlobalWorkerBudget(limit=2)
-    assert set_global_worker_budget(replacement) is original
-    try:
-        assert get_global_worker_budget() is replacement
-    finally:
-        set_global_worker_budget(original)
+    pool = ThreadPoolExecutor(8)
+    pool.pool_factory = RecordingPool
+    results = pool.run([TaskSpec(key=str(i), fn=probe, args=(i,)) for i in range(3)])
+    assert [r.value for r in results] == [0, 1, 2]
+    assert sizes == [3]
+    assert len(observed) <= 3
 
 
 # ------------------------------------------------------------------ pickling
@@ -183,13 +154,13 @@ class CountingGenerator(KernelGPT):
 
 
 def test_process_pool_ships_generator_once_per_worker(small_kernel, extractor):
-    """The batch payload pickles per *worker* (pool initializer), not per task.
+    """The batch payload pickles once per batch, not once per task.
 
-    Task args carry only the ``POOL_PAYLOAD`` sentinel; the generator rides
-    in the pool initializer's ``initargs``, which the spawn start method
-    pickles once per worker process and the fork start method (Linux
-    default) ships for free through inherited memory — either way, strictly
-    fewer pickles than the one-per-task the args used to cost.
+    Task args carry only the ``POOL_PAYLOAD`` sentinel; the generator is
+    pickled once in the parent and rides as bytes in the pool initializer's
+    ``initargs``, which each worker unpickles once — under the fork and
+    spawn start methods alike, and strictly fewer pickles than the
+    one-per-task the args used to cost.
     """
     generator = CountingGenerator(small_kernel, OracleBackend(), extractor=extractor)
     engine = ExecutionEngine(jobs=2, executor=ProcessPoolExecutor(2))
@@ -197,8 +168,32 @@ def test_process_pool_ships_generator_once_per_worker(small_kernel, extractor):
     handlers = ["dm_ctl_fops", "cec_devnode_fops", "rds_proto_ops", "udmabuf_fops"]
     run = generator.generate_for_handlers(handlers, engine=engine)
     assert set(run.results) == set(handlers)
-    assert CountingGenerator.pickles <= 2             # at most once per worker
-    assert CountingGenerator.pickles < len(handlers)  # never once per task
+    assert CountingGenerator.pickles == 1             # once per batch, never per task
+
+
+class PickleMarked:
+    """A payload whose ``__getstate__`` marks every copy that went through pickle."""
+
+    pickled = False
+
+    def __getstate__(self):
+        return {"pickled": True}
+
+
+def _read_pickle_mark(payload):
+    return payload.pickled
+
+
+def test_process_pool_payload_honours_getstate():
+    """Workers see the payload's pickled form under every start method.
+
+    The fork start method inherits a pool's ``initargs`` instead of pickling
+    them, so a payload handed over as-is would skip ``__getstate__`` and
+    carry parent-only state (an engine, a coalescer handle) into workers.
+    """
+    tasks = [TaskSpec(key=str(i), fn=_read_pickle_mark, args=(POOL_PAYLOAD,)) for i in range(2)]
+    results = ProcessPoolExecutor(2).run(tasks, payload=PickleMarked())
+    assert [r.value for r in results] == [True, True]
 
 
 def test_shared_payload_passes_by_reference_in_memory(small_kernel, extractor):
@@ -209,47 +204,6 @@ def test_shared_payload_passes_by_reference_in_memory(small_kernel, extractor):
     run = generator.generate_for_handlers(["dm_ctl_fops", "udmabuf_fops"], engine=engine)
     assert set(run.results) == {"dm_ctl_fops", "udmabuf_fops"}
     assert CountingGenerator.pickles == 0
-
-
-def test_worker_budget_reclaims_blocked_parent_slot():
-    """Nested fan-out stays at exactly ``limit`` concurrent workers.
-
-    Each outer worker donates the slot it holds while it blocks on its
-    nested pool, so the inner pools run inside the original budget instead
-    of stacking the deadlock-freedom minimum on top (previously: peak =
-    limit + one per nesting level).
-    """
-    budget = GlobalWorkerBudget(limit=2)
-    outer_gate = threading.Barrier(2, timeout=10)
-    inner_gate = threading.Barrier(2, timeout=10)
-
-    def inner_task(i):
-        inner_gate.wait()   # both nested pools provably run concurrently
-        return i
-
-    def outer_task(i):
-        outer_gate.wait()   # both outer workers provably hold slots at once
-        inner = ThreadPoolExecutor(2, budget=budget)
-        results = inner.run([TaskSpec(key=f"{i}.0", fn=inner_task, args=(i,))])
-        return results[0].value
-
-    outer = ThreadPoolExecutor(2, budget=budget)
-    results = outer.run([TaskSpec(key=str(i), fn=outer_task, args=(i,)) for i in range(2)])
-    assert [r.value for r in results] == [0, 1]
-    assert budget.leased == 0
-    # Without donation the peak would be 4: 2 outer + the at-least-one
-    # grant each nested pool extracts from an exhausted budget.
-    assert budget.peak == 2
-
-
-def test_budget_reclaim_is_noop_for_top_level_callers():
-    budget = GlobalWorkerBudget(limit=2)
-    with budget.reclaimed_for_nested():
-        assert budget.leased == 0         # nothing to donate, nothing lost
-    pool = ThreadPoolExecutor(2, budget=budget)
-    results = pool.run([TaskSpec(key=str(i), fn=lambda i=i: i) for i in range(4)])
-    assert [r.value for r in results] == list(range(4))
-    assert budget.leased == 0 and budget.peak == 2
 
 
 # --------------------------------------------------------------------- cache
@@ -336,7 +290,7 @@ def test_parallel_generation_matches_serial(small_kernel, extractor):
     serial_run = serial.generate_for_handlers(HANDLERS)
 
     # The explicit pool forces true thread concurrency even on a 1-core host
-    # (where the default policy would clamp jobs=4 down to the serial path).
+    # (where create_executor would cap jobs=4 at one worker).
     engine = ExecutionEngine(jobs=4, executor=ThreadPoolExecutor(4))
     parallel = KernelGPT(small_kernel, OracleBackend(), extractor=extractor, engine=engine)
     parallel_run = parallel.generate_for_handlers(HANDLERS, engine=engine)

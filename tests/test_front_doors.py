@@ -8,6 +8,7 @@ the determinism gate recomputes on a context of its own.
 """
 
 import importlib
+import re
 import sys
 import threading
 import time
@@ -167,3 +168,14 @@ def test_config_flags_are_validated_at_the_front_door(argv):
 
     with pytest.raises(SystemExit, match="--route|invalid resilience spec"):
         runner.main(["campaign"] + argv)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["fuzz:syzkaller@abc", "generation:", "bogus:dm_ctl_fops", "=generation:dm_ctl_fops"],
+)
+def test_malformed_job_specs_are_rejected_at_the_front_door(entry):
+    from repro.service.cli import serve_main
+
+    with pytest.raises(SystemExit, match=re.escape(repr(entry))):
+        serve_main(["--job", entry])

@@ -18,7 +18,6 @@ import weakref
 import pytest
 
 from repro.core import KernelGPT
-from repro.engine import ExecutionEngine, GlobalWorkerBudget
 from repro.errors import ExtractionError, ServiceSaturated, TenantBudgetExceeded
 from repro.llm import BatchCoalescer, CoalescingBackend, Completion, LLMBackend, Prompt
 from repro.service import Job, JobService
@@ -231,18 +230,6 @@ class TestPicklingAndAdmission:
         assert [c.text for c in replies] == ["reply:worker-side"]
         # Served by the clone's own inner copy, not the parent's coalescer.
         assert inner.batches == []
-
-    def test_worker_budget_admit_refuses_when_saturated(self):
-        budget = GlobalWorkerBudget(limit=2)
-        granted = budget.admit(2)
-        assert granted == 2
-        with pytest.raises(ServiceSaturated) as excinfo:
-            budget.admit(1)
-        assert excinfo.value.limit == 2
-        assert excinfo.value.pending == 2
-        budget.release(granted)
-        # Partial grants are allowed when ``required`` relaxes the ask.
-        assert budget.admit(8, required=1) == 2
 
 
 # ---------------------------------------------------------------- job service
