@@ -1,25 +1,21 @@
-"""Benchmark: serial baseline vs engine-backed thread and process sharding.
+"""Benchmark: serial baseline vs the engine-backed memoized run.
 
 The workload mirrors what the evaluation actually does — the full generation
 run over the incomplete handlers, table5-style per-driver regeneration, and
-repeated fuzz campaigns — executed under three schedulers:
+repeated fuzz campaigns — executed two ways:
 
 * **serial**: no engine; every handler regenerated from scratch, campaigns
   back-to-back (the pre-engine behaviour);
-* **thread (jobs=4)**: sessions fan out across threads, LLM/extractor
-  lookups hit the single-flight memo cache (so the regeneration stage is
-  pure cache traffic), campaigns run as one batch;
-* **process (jobs=4)**: generation task payloads are pickled to worker
-  processes (real cores, no shared caches — each worker pays the full
-  oracle analysis for its handlers), campaigns fan out the same way.
+* **engine (jobs=4)**: handlers still run one after another, but LLM and
+  extractor lookups hit the single-flight memo cache (so the regeneration
+  stage is pure cache traffic) and each suite's repeated campaigns run as
+  one thread-pool batch.
 
 Run with ``pytest benchmarks/bench_engine_parallel.py --benchmark-only -s``;
-pytest-benchmark prints the rows in one comparison group.  The thread-vs-
-process comparison is the scaling experiment: threads win on memoization
-(shared caches, no pickling) while processes win on multi-core hosts where
-the GIL, not the cache, is the bottleneck.  The last tests assert all paths
-produce identical suites and campaign coverage, and that the engine path is
-measurably faster than the serial baseline on this workload.
+pytest-benchmark prints the rows in one comparison group.  The last test
+asserts both paths produce identical suites and campaign coverage, and that
+the engine path is measurably faster than the serial baseline on this
+workload.
 """
 
 import time
@@ -27,8 +23,8 @@ import time
 import pytest
 
 from repro.core import KernelGPT
-from repro.engine import ExecutionEngine, ProcessPoolExecutor
-from repro.fuzzer import run_campaign_matrix
+from repro.engine import ExecutionEngine
+from repro.fuzzer import run_repeated_campaigns
 from repro.kernel import TABLE5_DRIVER_NAMES
 from repro.llm import OracleBackend
 
@@ -42,7 +38,7 @@ REGEN_ROUNDS = 3
 
 
 def _workload(ctx, engine):
-    """Generation run + per-driver regeneration rounds + campaign matrix."""
+    """Generation run + per-driver regeneration rounds + repeated campaigns."""
     generator = KernelGPT(
         ctx.kernel, OracleBackend(), extractor=ctx.extractor, engine=engine
     )
@@ -56,13 +52,16 @@ def _workload(ctx, engine):
         "syzkaller": ctx.syzkaller_corpus.flatten("syzkaller"),
         "kernelgpt": run.merged_suite(),
     }
-    campaigns = run_campaign_matrix(
-        ctx.kernel, suites,
-        repetitions=REPETITIONS,
-        budget_programs=BUDGET_PROGRAMS,
-        base_seed=7,
-        engine=engine,
-    )
+    campaigns = {
+        label: run_repeated_campaigns(
+            ctx.kernel, suite,
+            repetitions=REPETITIONS,
+            budget_programs=BUDGET_PROGRAMS,
+            base_seed=7,
+            engine=engine,
+        )
+        for label, suite in suites.items()
+    }
     return run, regenerated, campaigns
 
 
@@ -90,47 +89,6 @@ def test_engine_parallel_jobs4(benchmark, ctx):
           f"({stats['llm']['hit_rate']:.1%}); "
           f"extract cache: {stats['extract']['hits']} hits / {stats['extract']['misses']} misses; "
           f"session cache: {stats['session']['hits']} hits / {stats['session']['misses']} misses")
-
-
-@pytest.mark.benchmark(group="engine-parallel")
-def test_engine_process_jobs4(benchmark, ctx):
-    """Process sharding: picklable payloads on real cores, no shared caches."""
-    _warm(ctx)
-    engine = ExecutionEngine(jobs=4, executor=ProcessPoolExecutor(4))
-    run, _, _ = benchmark.pedantic(_workload, args=(ctx, engine), rounds=1, iterations=1)
-    assert run.valid_results()
-
-
-def test_thread_vs_process_scaling(ctx):
-    """Thread vs process sharding on the same workload, identical outputs.
-
-    On a single-core host threads win outright (shared memo caches, no
-    pickling); on a multi-core host processes close the gap on the
-    generation fan-out because each worker gets a real core.  The assertion
-    is about *correctness under both schedulers* — the wall-times are
-    printed for the scaling comparison, not asserted, because the winner is
-    host-dependent by design.
-    """
-    _warm(ctx)
-
-    thread_engine = ExecutionEngine(jobs=4)
-    started = time.perf_counter()
-    thread_run, _, thread_campaigns = _workload(ctx, thread_engine)
-    thread_seconds = time.perf_counter() - started
-
-    process_engine = ExecutionEngine(jobs=4, executor=ProcessPoolExecutor(4))
-    started = time.perf_counter()
-    process_run, _, process_campaigns = _workload(ctx, process_engine)
-    process_seconds = time.perf_counter() - started
-
-    assert {h: r.suite_text() for h, r in process_run.results.items()} == \
-           {h: r.suite_text() for h, r in thread_run.results.items()}
-    for label in thread_campaigns:
-        assert [c.coverage for c in process_campaigns[label]] == \
-               [c.coverage for c in thread_campaigns[label]]
-    print()
-    print(f"thread(jobs=4) {thread_seconds:.2f}s vs process(jobs=4) {process_seconds:.2f}s "
-          f"on {__import__('os').cpu_count()} core(s)")
 
 
 def test_batched_vs_per_query_rows(ctx):
@@ -219,60 +177,6 @@ def test_repair_mode_rows(ctx):
     assert ratio >= 2.0, f"transactional repair saves only {ratio:.2f}x round-trips"
 
 
-def test_pool_fanout_matches_sequential_backends(ctx):
-    """One pool-routed engine batch == three sequential per-backend runs.
-
-    The §5.2.3 shape: the same drivers generated under every capability
-    profile, once through a routed ``BackendPool`` in a single engine
-    fan-out, once the historical way (one generator per backend, run after
-    run).  Outputs must match per (profile, driver) pair; the wall times
-    are printed for the comparison row.
-    """
-    from repro.core.tasks import GenerationTask, run_generation_task
-    from repro.engine import TaskSpec
-    from repro.llm import BackendPool, DegradedBackend
-
-    _warm(ctx)
-    labels = ("gpt-4", "gpt-4o", "gpt-3.5")
-    factories = {"gpt-4": DegradedBackend.gpt4, "gpt-4o": DegradedBackend.gpt4o,
-                 "gpt-3.5": DegradedBackend.gpt35}
-    handlers = [ctx.kernel.record_for_name(name).handler_name for name in TABLE5_DRIVER_NAMES]
-
-    started = time.perf_counter()
-    sequential = {}
-    for label in labels:
-        generator = KernelGPT(ctx.kernel, factories[label](), extractor=ctx.extractor)
-        for handler in handlers:
-            sequential[(label, handler)] = generator.generate_for_handler(handler).suite_text()
-    sequential_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    engine = ExecutionEngine(jobs=4)
-    pool = BackendPool({label: factories[label]() for label in labels})
-    generators = {
-        label: KernelGPT(ctx.kernel, pool, extractor=ctx.extractor, backend_route=label)
-        for label in labels
-    }
-    specs = [
-        TaskSpec(key=f"{label}:{handler}", fn=run_generation_task,
-                 args=(generators[label], GenerationTask(handler), engine))
-        for label in labels for handler in handlers
-    ]
-    outcomes = [result.value for result in engine.run_tasks("pool-fanout", specs)]
-    pooled_seconds = time.perf_counter() - started
-    pooled = {
-        (label, handler): outcome.result.suite_text()
-        for (label, handler), outcome in zip(
-            [(label, handler) for label in labels for handler in handlers], outcomes
-        )
-    }
-    assert pooled == sequential
-    print()
-    print(f"sequential 3-backend runs {sequential_seconds:.2f}s vs "
-          f"pool-routed engine fan-out {pooled_seconds:.2f}s "
-          f"({len(labels)} profiles x {len(handlers)} drivers)")
-
-
 def test_parallel_is_deterministic_and_faster(ctx):
     """jobs=4 reproduces the serial results bit-for-bit, in less wall time."""
     _warm(ctx)
@@ -300,8 +204,7 @@ def test_parallel_is_deterministic_and_faster(ctx):
     print(f"serial {serial_seconds:.2f}s vs engine(jobs=4) {parallel_seconds:.2f}s "
           f"-> {speedup:.2f}x")
     # The engine path must win: memoization removes the redundant oracle
-    # analyses (regeneration, shared secondary handlers) even on one core,
-    # and the fan-out adds cores when the host has them.  The 1.05 floor
+    # analyses (regeneration, shared secondary handlers) even on one core.  The 1.05 floor
     # keeps the assertion robust to timer noise while still catching a
     # regression that makes the engine path slower than the baseline.
     assert speedup > 1.05, f"engine path not faster: {speedup:.2f}x"

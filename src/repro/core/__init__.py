@@ -11,7 +11,6 @@ from .repair import (
     RepairTransaction,
 )
 from .session import GenerationSession, run_session
-from .tasks import GenerationOutcome, GenerationTask, merge_outcome_side_effects, run_generation_task
 
 __all__ = [
     "KernelGPT",
@@ -24,10 +23,6 @@ __all__ = [
     "RepairTransaction",
     "RepairItem",
     "RepairCommit",
-    "GenerationTask",
-    "GenerationOutcome",
-    "run_generation_task",
-    "merge_outcome_side_effects",
     "DiscoveredOp",
     "IterativeAnalyzer",
     "IterationTrace",

@@ -18,9 +18,10 @@ holding the generated suite and full provenance (queries, repairs, validity).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..engine import ExecutionEngine, POOL_PAYLOAD, TaskSpec
+from ..engine import ExecutionEngine
 from ..errors import ExtractionError, GenerationError, SyzlangParseError
 from ..extractor import HandlerInfo, KernelExtractor
 from ..kernel import KernelCodebase
@@ -48,7 +49,6 @@ from ..syzlang import (
 from .iterative import DEFAULT_MAX_ITERATIONS
 from .repair import REPAIR_MODES
 from .session import GenerationSession, run_session
-from .tasks import GenerationTask, merge_outcome_side_effects, run_generation_task
 
 _GENERIC_WITH_VARIANT = ("ioctl", "setsockopt", "getsockopt")
 _MESSAGE_SYSCALLS = ("bind", "connect", "accept", "sendto", "recvfrom", "sendmsg", "recvmsg", "poll")
@@ -193,8 +193,9 @@ class KernelGPT:
         self.backend_route = backend_route
         #: Default repair protocol for this generator's sessions: the
         #: historical ``"per-query"`` loop or the snapshot-batched
-        #: ``"transactional"`` rounds (repro.core.repair).  Task payloads
-        #: may override per session.
+        #: ``"transactional"`` rounds (repro.core.repair).  The
+        #: ``repair_mode`` argument of the generate methods overrides it
+        #: per session.
         self.repair_mode = repair_mode
         #: Routing tag for transactional repair requests.  None falls back
         #: to ``backend_route`` and then to the generic ``"repair"`` tag,
@@ -330,68 +331,24 @@ class KernelGPT:
     ) -> GenerationRun:
         """Generate specifications for many handlers (a full campaign).
 
-        Handlers fan out across the engine's executor (an explicit
-        ``engine`` overrides the instance engine; with neither, handlers
-        run serially).  Sessions are independent, so any schedule produces
-        the same :class:`GenerationRun`: results are keyed in
-        ``handler_names`` order and each handler's suite is byte-identical
-        to a serial run.
-
-        Task payloads are picklable (module-level function + dataclass
-        args; see :mod:`repro.core.tasks`), so the fan-out works unchanged
-        on a process pool: workers run engine-less on their own copy of the
-        generator, and their usage meters / recorded exchanges are merged
-        back into this generator's backend when the batch joins.
-        """
-        run = GenerationRun()
-        tasks = [GenerationTask(handler_name) for handler_name in handler_names]
-        for task, result in zip(tasks, self.run_generation_tasks(tasks, engine=engine)):
-            if result is not None:
-                run.results[task.handler_name] = result
-        return run
-
-    def run_generation_tasks(
-        self,
-        tasks: "list[GenerationTask]",
-        *,
-        engine: ExecutionEngine | None = None,
-    ) -> "list[GenerationResult | None]":
-        """Run a batch of generation task payloads, one result per task.
-
-        The generic fan-out behind :meth:`generate_for_handlers` and the
-        ablation's mixed iterative/all-in-one batches.  Results come back in
-        task order (``None`` where extraction/generation failed); with an
-        engine they are memoized in its result cache, so re-requesting a
-        handler later is a cache hit.  On executors that do not share
-        memory, worker usage/exchanges are merged into this generator's
-        backend after the batch, in submission order.
+        Handlers run one after another in ``handler_names`` order, each
+        through :meth:`generate_for_handler`; an explicit ``engine``
+        overrides the instance engine, which memoizes every session and
+        times the loop as the ``generation`` profile stage.  A handler that
+        cannot be extracted or generated is left out of the run; any other
+        error stops the loop.
         """
         engine = engine or self.engine
-        if engine is None:
-            return [run_generation_task(self, task).result for task in tasks]
-        shared = engine.shares_memory
-        # The generator is the batch's shared payload: in-memory executors
-        # pass it by reference, process pools pickle it once per batch and
-        # unpickle it once per worker via the pool initializer (instead of
-        # once per task in every args tuple) and workers resolve the
-        # sentinel against their copy.
-        specs = [
-            TaskSpec(
-                key=f"{task.handler_name}@{task.mode}"
-                + (f"@{task.repair_mode}" if task.repair_mode else ""),
-                fn=run_generation_task,
-                args=(POOL_PAYLOAD, task, engine if shared else None),
-                kwargs=None if shared else {"collect_side_effects": True},
-            )
-            for task in tasks
-        ]
-        outcomes = [
-            result.value
-            for result in engine.run_tasks("generation", specs, payload=self)
-        ]
-        if not shared:
-            merge_outcome_side_effects(self.backend, outcomes)
-        return [outcome.result for outcome in outcomes]
+        run = GenerationRun()
+        with engine.profile.measure("generation") if engine is not None else nullcontext():
+            for handler_name in handler_names:
+                try:
+                    run.results[handler_name] = self.generate_for_handler(
+                        handler_name, engine=engine
+                    )
+                except (ExtractionError, GenerationError):
+                    continue
+        return run
 
     def generate_all_in_one(
         self,

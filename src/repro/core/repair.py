@@ -44,8 +44,7 @@ declaration.  The :class:`RepairCommit` still records the re-queued issues
 so round accounting (and the tests) can observe the conflicts.
 
 Transactions are plain data — a suite copy, issue tuples, no locks or
-callables — so they pickle across process shards exactly like the
-generation task payloads in :mod:`repro.core.tasks`.
+callables.
 """
 
 from __future__ import annotations

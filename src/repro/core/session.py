@@ -15,14 +15,11 @@ an engine-level memo cache absorbed), and carries its own
 prompt library, validator, constants), so any number of sessions can run
 concurrently and still produce byte-identical suites.
 
-Sessions never cross process boundaries: what gets pickled into a
-process-pool task is the *generator* plus a plain-data
-:class:`~repro.core.tasks.GenerationTask`, and the worker builds its
-sessions locally through the module-level :func:`run_session` (a named
-function, not a bound method, so task specs that reference it stay
-picklable).  Everything a session closes over — the analyzer's extract
-hook, the per-stage prompt builders — is therefore worker-local by
-construction and never needs to serialize.
+Sessions never cross process boundaries: a session lives for one
+handler's run inside :meth:`KernelGPT.generate_for_handler` (through the
+module-level :func:`run_session`), and everything it closes over — the
+analyzer's extract hook, the per-stage prompt builders — is local to that
+call.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ class GenerationSession:
     """All mutable state for generating one handler's specification.
 
     ``engine`` overrides the owning generator's engine for this session —
-    the fan-out path uses it so that a ``jobs=N`` run on an engine-less
-    generator still memoizes through the engine doing the scheduling.
+    ``generate_for_handlers(engine=)`` uses it so that an engine-less
+    generator still memoizes through the caller's engine.
 
     Queries flow through the **batched** protocol: :meth:`query_batch`
     wraps prompts into routed :class:`~repro.llm.LLMRequest`\\ s and submits
@@ -69,7 +66,7 @@ class GenerationSession:
         #: round-trip per broken declaration) or ``"transactional"`` (one
         #: snapshot-batched round-trip per round; see repro.core.repair).
         #: Validated here — the choke point every override path (generator
-        #: default, task payload, explicit session argument) flows through
+        #: default, per-call override, explicit session argument) flows through
         #: — so a typo'd mode fails loudly instead of silently running the
         #: per-query fallback under a bogus label.
         from .repair import REPAIR_MODES
@@ -445,12 +442,8 @@ class GenerationSession:
 def run_session(gpt, handler_name: str, *, engine=None, repair_mode: str | None = None):
     """Run one handler's full generation session and return its result.
 
-    The module-level session entry point: process-pool workers (and the
-    in-process memoized path) reach sessions through this named function
-    instead of a bound ``KernelGPT`` method, which is what keeps generation
-    task specs picklable end to end.  ``repair_mode`` overrides the
-    generator's repair mode for this session only (a task-level knob, so a
-    shared generator is never mutated by a scheduled task).
+    ``repair_mode`` overrides the generator's repair mode for this session
+    only (a per-call knob, so a shared generator is never mutated).
     """
     return GenerationSession(gpt, handler_name, engine=engine, repair_mode=repair_mode).run()
 

@@ -5,11 +5,13 @@ per-task seeds, pluggable serial/thread/process executors behind
 ``jobs``/``kind`` knobs (a batch gets min(jobs, CPU count, task count)
 workers; pools never nest), single-flight memo caches (extractor lookups,
 LLM queries) with hit/miss statistics, and per-stage wall-time
-instrumentation.  The layers above — spec generation
-(``repro.core``), fuzz campaigns (``repro.fuzzer``) and the experiment
-runner (``repro.experiments``) — all fan their work through it; results
-are always returned in submission order, which is the invariant that makes
-``jobs=1`` and ``jobs=N`` runs byte-identical on any executor kind.
+instrumentation.  The front doors — the experiment runner
+(``repro.experiments``), ``campaign``, ``diff`` — and repeated fuzz
+campaigns (``repro.fuzzer``) fan their work through it, while spec
+generation (``repro.core``) uses its caches and profile from a plain loop;
+results are always returned in submission order, which is the invariant
+that makes ``jobs=1`` and ``jobs=N`` runs byte-identical on any executor
+kind.
 """
 
 from .cache import CacheStats, MemoCache
@@ -23,7 +25,7 @@ from .executors import (
     execute_task,
 )
 from .profile import EngineProfile, StageStats
-from .tasks import POOL_PAYLOAD, TaskResult, TaskSpec, derive_seed, substitute_payload
+from .tasks import TaskResult, TaskSpec, derive_seed
 
 __all__ = [
     "ExecutionEngine",
@@ -40,6 +42,4 @@ __all__ = [
     "TaskSpec",
     "TaskResult",
     "derive_seed",
-    "POOL_PAYLOAD",
-    "substitute_payload",
 ]

@@ -173,10 +173,5 @@ class MemoCache:
             entry = self._entries.get(key)
             return entry is not None and entry.event.is_set() and entry.error is None
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.stats = CacheStats(self.name)
-
 
 __all__ = ["MemoCache", "CacheStats"]

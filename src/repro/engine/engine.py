@@ -1,9 +1,10 @@
 """The deterministic task-execution engine.
 
-:class:`ExecutionEngine` is the one scheduler every layer above fans work
-through: spec generation fans out per-handler sessions, the fuzzer fans out
-per-seed campaigns, and the experiment runner fans out whole tables.  It
-bundles
+:class:`ExecutionEngine` is the one scheduler the front doors fan work
+through: the experiment runner fans out whole tables, ``campaign`` and
+``diff`` fan out DAG waves, and the fuzzer fans out per-seed campaigns.
+Spec generation runs its handlers in a plain loop and uses the engine for
+memoization and profiling only.  It bundles
 
 * an :class:`~repro.engine.executors.Executor` chosen by the ``jobs`` knob
   (serial, thread pool or process pool);
@@ -75,19 +76,15 @@ class ExecutionEngine:
         tasks: Sequence[TaskSpec],
         *,
         rethrow: bool = True,
-        payload: object = None,
     ) -> list[TaskResult]:
         """Run a batch of tasks, returning results in submission order.
 
         With ``rethrow=True`` (the default) the first failed task's exception
         is re-raised after the whole batch finished; ``rethrow=False`` leaves
         failures in ``TaskResult.error`` for the caller to triage.
-        ``payload`` is the batch's shared object, referenced from task args
-        via the ``POOL_PAYLOAD`` sentinel and pickled at most once per batch
-        (see :meth:`Executor.run`).
         """
         with self.profile.measure(stage):
-            results = self.executor.run(tasks, payload=payload)
+            results = self.executor.run(tasks)
         for result in results:
             self.profile.record(f"{stage}/task", result.duration)
         if rethrow:
@@ -189,14 +186,6 @@ class ExecutionEngine:
             # --profile renderers (runner and serve) print them unchanged.
             stats.update(self.store.stats())
         return stats
-
-    def stats(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "executor": self.executor.name,
-            "caches": self.cache_stats(),
-            "stages": self.profile.report(),
-        }
 
 
 __all__ = ["ExecutionEngine"]

@@ -12,12 +12,11 @@ Every executor honours the same contract:
   do not fan out pools of their own.
 
 The thread-pool executor is the default for in-process work that shares
-caches and backends; the process-pool executor exists for picklable
-workloads (fuzz campaigns, handler-generation task payloads) that want real
-cores.  ``shares_memory`` tells schedulers which of the two worlds they are
-in: process workers see *copies* of the task arguments, so any state they
-mutate (usage meters, recorded exchanges) must travel back in the task's
-return value and be merged at join.
+caches and backends; the process-pool executor exists for the front
+doors' picklable tasks (report tasks, campaign tasks, diff cells, fuzz
+campaigns) that want real cores.  ``shares_memory`` tells schedulers which
+of the two worlds they are in: process workers see *copies* of the task
+arguments, so only the task's return value reaches the parent.
 """
 
 from __future__ import annotations
@@ -25,44 +24,26 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-import pickle
-import threading
 import time
 from typing import Sequence
 
-from .tasks import TaskResult, TaskSpec, substitute_payload
-
-#: The once-per-worker shared payload a process pool's initializer installs.
-#: Each worker process belongs to exactly one pool for its whole life (pools
-#: are created per ``run()`` call), so a plain module global is safe there;
-#: in-memory executors never use it — they substitute the payload into the
-#: task specs directly, by reference.
-_pool_payload: object = None
-
-
-def _install_pool_payload(payload: bytes) -> None:
-    """Process-pool initializer: unpickle the shared payload once per worker."""
-    global _pool_payload
-    _pool_payload = pickle.loads(payload)
+from .tasks import TaskResult, TaskSpec
 
 
 def execute_task(task: TaskSpec) -> TaskResult:
-    """Run one task, capturing value/error/duration/worker.
+    """Run one task, capturing value/error/duration.
 
     Module-level (rather than a method) so process pools can pickle it.
-    Payload sentinels left in the task's args (process-pool batches) are
-    resolved against the worker's installed shared payload first.
     """
     started = time.perf_counter()
     result = TaskResult(key=task.key, seed=task.seed)
     try:
-        result.value = substitute_payload(task, _pool_payload)()
+        result.value = task()
     except Exception as exc:
         # Only Exception: KeyboardInterrupt/SystemExit must abort the whole
         # batch (Ctrl-C during an hours-long run), not become a task result.
         result.error = exc
     result.duration = time.perf_counter() - started
-    result.worker = f"{os.getpid()}:{threading.current_thread().name}"
     return result
 
 
@@ -77,16 +58,8 @@ class Executor(abc.ABC):
     shares_memory: bool = True
 
     @abc.abstractmethod
-    def run(self, tasks: Sequence[TaskSpec], *, payload: object = None) -> list[TaskResult]:
-        """Execute every task and return one result per task, in order.
-
-        ``payload`` is an optional object shared by the whole batch, which
-        tasks reference through the :data:`~repro.engine.tasks.POOL_PAYLOAD`
-        sentinel in their args/kwargs.  In-memory executors hand it to
-        tasks by reference; a process pool pickles it **once per batch**
-        and each worker unpickles it once (via the pool initializer),
-        instead of once per task.
-        """
+    def run(self, tasks: Sequence[TaskSpec]) -> list[TaskResult]:
+        """Execute every task and return one result per task, in order."""
 
 
 class SerialExecutor(Executor):
@@ -95,9 +68,7 @@ class SerialExecutor(Executor):
     name = "serial"
     jobs = 1
 
-    def run(self, tasks: Sequence[TaskSpec], *, payload: object = None) -> list[TaskResult]:
-        if payload is not None:
-            tasks = [substitute_payload(task, payload) for task in tasks]
+    def run(self, tasks: Sequence[TaskSpec]) -> list[TaskResult]:
         return [execute_task(task) for task in tasks]
 
 
@@ -109,17 +80,11 @@ class _PoolExecutor(Executor):
     def __init__(self, jobs: int = 4):
         self.jobs = max(1, jobs)
 
-    def _pool_kwargs(self, payload: object) -> dict:
-        """Extra pool-construction kwargs (process pools install the payload)."""
-        return {}
-
-    def run(self, tasks: Sequence[TaskSpec], *, payload: object = None) -> list[TaskResult]:
+    def run(self, tasks: Sequence[TaskSpec]) -> list[TaskResult]:
         if not tasks:
             return []
-        if payload is not None and self.shares_memory:
-            tasks = [substitute_payload(task, payload) for task in tasks]
         workers = min(self.jobs, len(tasks))
-        with self.pool_factory(max_workers=workers, **self._pool_kwargs(payload)) as pool:
+        with self.pool_factory(max_workers=workers) as pool:
             futures = [pool.submit(execute_task, task) for task in tasks]
             return [future.result() for future in futures]
 
@@ -135,25 +100,13 @@ class ProcessPoolExecutor(_PoolExecutor):
     """Runs tasks on a per-call pool of up to ``jobs`` processes.
 
     Tasks (callable + arguments) and their results must be picklable.  Worker
-    processes do not share caches or usage meters with the parent — mutable
-    outcomes must be returned from the task and merged at join (see
-    :mod:`repro.core.tasks` for the generation payloads that do this).
+    processes do not share caches or usage meters with the parent, so a
+    task's only outcome is its return value.
     """
 
     name = "process"
     shares_memory = False
     pool_factory = concurrent.futures.ProcessPoolExecutor
-
-    def _pool_kwargs(self, payload: object) -> dict:
-        # The shared payload pickles once per batch, here in the parent, and
-        # each worker unpickles it once through the pool initializer instead
-        # of once per task.  Pickling it ourselves keeps its __getstate__
-        # contract under the fork start method too, which would otherwise
-        # hand workers the parent's live object (engine, coalescer handles
-        # bound to threads the child does not have).
-        if payload is None:
-            return {}
-        return {"initializer": _install_pool_payload, "initargs": (pickle.dumps(payload),)}
 
 
 def create_executor(jobs: int = 1, kind: str = "thread") -> Executor:

@@ -65,10 +65,6 @@ class EngineProfile:
                 mine.total_seconds += stats.total_seconds
                 mine.max_seconds = max(mine.max_seconds, stats.max_seconds)
 
-    def stage(self, name: str) -> StageStats | None:
-        with self._lock:
-            return self._stages.get(name)
-
     def report(self) -> dict[str, dict]:
         """Stage name -> stats, sorted by descending total time."""
         with self._lock:
@@ -89,10 +85,6 @@ class EngineProfile:
                 f"max={stats['max_seconds']:8.4f}"
             )
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._stages.clear()
 
 
 __all__ = ["EngineProfile", "StageStats"]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..core import GenerationTask
-from ..errors import GenerationError
 from ..fuzzer import average_coverage, run_repeated_campaigns
 from ..kernel import TABLE5_DRIVER_NAMES
 from .context import EvaluationContext
@@ -19,25 +17,13 @@ def run_ablation_iterative(ctx: EvaluationContext, *, drivers: tuple[str, ...] |
         headers=["Driver", "Iterative #Sys", "Iterative #Types", "Iterative Cov",
                  "All-in-one #Sys", "All-in-one #Types", "All-in-one Cov"],
     )
-    # Both modes for every driver as one engine batch: on a parallel engine
-    # the 2N generations fan out across workers, and the memoized results
-    # make the per-driver loop below pure cache traffic.
+    # The ablation drivers are curated, so an extraction or generation
+    # error is a configuration error and propagates.
     handlers = [ctx.kernel.record_for_name(name).handler_name for name in names]
-    batch = [GenerationTask(handler) for handler in handlers] + [
-        GenerationTask(handler, mode="all-in-one") for handler in handlers
-    ]
-    batched = dict(zip(((t.handler_name, t.mode) for t in batch),
-                       ctx.kernelgpt.run_generation_tasks(batch, engine=ctx.engine)))
+    iterative_results = [ctx.kernelgpt.generate_for_handler(h) for h in handlers]
+    all_in_one_results = [ctx.kernelgpt.generate_all_in_one(h) for h in handlers]
     totals = [0, 0, 0.0, 0, 0, 0.0]
-    for name in names:
-        handler = ctx.kernel.record_for_name(name).handler_name
-        iterative = batched[(handler, "iterative")]
-        all_in_one = batched[(handler, "all-in-one")]
-        if iterative is None or all_in_one is None:
-            # The batch maps extraction/generation failures to None; the
-            # ablation drivers are curated, so a miss is a configuration
-            # error worth failing loudly on (as the pre-batch code did).
-            raise GenerationError(f"ablation generation failed for handler {handler!r}")
+    for name, iterative, all_in_one in zip(names, iterative_results, all_in_one_results):
         row = [name]
         for offset, result in ((0, iterative), (3, all_in_one)):
             coverage = 0.0

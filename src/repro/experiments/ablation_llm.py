@@ -1,21 +1,15 @@
 """§5.2.3 ablation — LLM choice (GPT-4 vs GPT-3.5 vs GPT-4o capability profiles).
 
 Rebuilt on the batched multi-backend protocol: all capability profiles live
-in one routed :class:`~repro.llm.BackendPool`, each profile's generator
-stamps its routing tag on every request, and the whole profile × driver
-matrix is submitted to the evaluation engine as **one** task batch — a
-single engine-sharded run (``kernelgpt-repro --experiment ablation_llm
---jobs 4``) instead of one sequential generator run per model.  Results are
-aggregated in (profile, driver) submission order, so the rendered table is
-byte-identical to the historical sequential implementation at any jobs
-level or executor kind.
+in one routed :class:`~repro.llm.BackendPool`, and each profile's generator
+stamps its routing tag on every request.  The profile × driver matrix runs
+in (profile, driver) order on the evaluation context's engine, so its memo
+and store serve every cell.
 """
 
 from __future__ import annotations
 
 from ..core import KernelGPT
-from ..core.tasks import GenerationTask, merge_outcome_side_effects, run_generation_task
-from ..engine import POOL_PAYLOAD, TaskSpec
 from ..fuzzer import average_coverage, run_repeated_campaigns
 from ..kernel import TABLE5_DRIVER_NAMES
 from ..llm import PROFILE_FACTORIES, BackendPool, backend_for_profile
@@ -37,65 +31,24 @@ def build_profile_pool(labels: tuple[str, ...], *, schedule: str = "tagged") -> 
     return BackendPool(members, schedule=schedule)
 
 
-def run_routed_generation_task(
-    generators: dict[str, KernelGPT],
-    label: str,
-    task: GenerationTask,
-    engine=None,
-    *,
-    collect_side_effects: bool = False,
-):
-    """One (profile, driver) cell of the ablation matrix.
-
-    Module-level so it pickles by name; ``generators`` arrives as the
-    batch's shared payload (one pickle per worker, not per task — all the
-    profile generators share the kernel, extractor and pool).
-    """
-    return run_generation_task(
-        generators[label], task, engine, collect_side_effects=collect_side_effects
-    )
-
-
 def run_ablation_llm(
     ctx: EvaluationContext,
     *,
     drivers: tuple[str, ...] | None = None,
 ) -> TableResult:
-    """Same drivers, different analyst capability profiles, one sharded run."""
+    """Same drivers, different analyst capability profiles."""
     config = ctx.config
     labels = tuple(config.llm_backends or DEFAULT_PROFILES)
     names = (drivers or TABLE5_DRIVER_NAMES)[: config.ablation_drivers]
     handlers = [ctx.kernel.record_for_name(name).handler_name for name in names]
 
     pool = build_profile_pool(labels, schedule=config.pool_schedule)
-    generators = {
-        label: KernelGPT(ctx.kernel, pool, extractor=ctx.extractor, backend_route=label)
+    runs = {
+        label: KernelGPT(
+            ctx.kernel, pool, extractor=ctx.extractor, engine=ctx.engine, backend_route=label
+        ).generate_for_handlers(handlers)
         for label in labels
     }
-
-    engine = ctx.engine
-    shared = engine.shares_memory
-    pairs = [(label, handler) for label in labels for handler in handlers]
-    specs = [
-        TaskSpec(
-            key=f"{label}:{handler}",
-            fn=run_routed_generation_task,
-            args=(POOL_PAYLOAD, label, GenerationTask(handler), engine if shared else None),
-            kwargs=None if shared else {"collect_side_effects": True},
-        )
-        for label, handler in pairs
-    ]
-    outcomes = [
-        result.value
-        for result in engine.run_tasks("ablation-llm", specs, payload=generators)
-    ]
-    if not shared:
-        # Every generator shares the one pool backend, so all worker-side
-        # usage merges into the pool's request-level meter at join.
-        merge_outcome_side_effects(pool, outcomes)
-    results_by_label: dict[str, list] = {label: [] for label in labels}
-    for (label, _handler), outcome in zip(pairs, outcomes):
-        results_by_label[label].append(outcome.result)
 
     table = TableResult(
         title="Ablation: LLM choice",
@@ -104,8 +57,8 @@ def run_ablation_llm(
     for label in labels:
         total_sys = total_types = 0
         total_cov = 0.0
-        for result in results_by_label[label]:
-            if result is None or not result.valid or not len(result.suite):
+        for result in runs[label].results.values():
+            if not result.valid or not len(result.suite):
                 continue
             total_sys += result.syscall_count
             total_types += result.type_count
@@ -124,7 +77,6 @@ def run_ablation_llm(
 
 __all__ = [
     "run_ablation_llm",
-    "run_routed_generation_task",
     "build_profile_pool",
     "PROFILE_FACTORIES",
     "DEFAULT_PROFILES",

@@ -9,8 +9,8 @@ process (the benchmark suite, the CLI runner) does the work once.
 
 The context is engine-backed: every instance carries an
 :class:`~repro.engine.ExecutionEngine` (serial by default) through which the
-generation run fans out and the KernelGPT instance memoizes its LLM queries
-and extractor lookups.  Lazy builders are guarded by a re-entrant lock, so
+KernelGPT instance memoizes its LLM queries, extractor lookups and
+generation sessions.  Lazy builders are guarded by a re-entrant lock, so
 independent tables can run concurrently (the runner's ``--jobs`` flag) and
 still build each shared artifact exactly once.
 """

@@ -20,6 +20,14 @@ def _experiments() -> list[str]:
     return sorted(EXPERIMENTS) + ["all"]
 
 
+def _output_dir(value: str) -> Path:
+    """``--output DIR``: refuse an existing path that is not a directory."""
+    path = Path(value)
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} exists and is not a directory")
+    return path
+
+
 #: Flag name → the one ``add_argument`` call that defines it.
 FLAGS = {
     # Config flags, accepted by every front door (see config_from_args).
@@ -63,7 +71,7 @@ FLAGS = {
         "--frozen", type=Path, metavar="LOCKFILE",
         help="replay LOCKFILE's pins with zero backend traffic (needs --store)"),
     "output": lambda p: p.add_argument(
-        "--output", type=Path, metavar="DIR", help="directory to write result text files"),
+        "--output", type=_output_dir, metavar="DIR", help="directory to write result text files"),
     "events": lambda p: p.add_argument(
         "--events", type=Path, metavar="FILE", help="append the JSONL event log to FILE"),
     "profile": lambda p: p.add_argument(
@@ -88,9 +96,6 @@ FLAGS = {
         help="a job to submit (repeatable); bare NAME means experiment:NAME"),
     "workers": lambda p: p.add_argument(
         "--workers", type=int, default=2, help="service worker threads (default: 2)"),
-    "engine-jobs": lambda p: p.add_argument(
-        "--engine-jobs", type=int, default=1,
-        help="engine fan-out inside each experiment job (default: 1)"),
     "no-coalesce": lambda p: p.add_argument(
         "--no-coalesce", action="store_true", help="flush every LLM submission alone"),
     "window": lambda p: p.add_argument(
@@ -134,7 +139,7 @@ FRONT_DOORS = {
     "serve": (
         "kernelgpt-repro serve",
         "Run generation/repair/fuzz/experiment jobs through the coalescing job service",
-        ("job", "workers", "engine-jobs", "executor", "no-coalesce", "window", "max-batch",
+        ("job", "workers", "no-coalesce", "window", "max-batch",
          "tenant-budget", "max-pending", "store", "output", "events", "job-retries", "profile"),
     ),
 }

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..fuzzer import average_coverage, average_crashes, run_campaign_matrix, union_coverage
+from ..fuzzer import average_coverage, average_crashes, run_repeated_campaigns, union_coverage
 from .context import EvaluationContext
 from .reporting import TableResult
 
@@ -20,15 +20,16 @@ def run_table3(ctx: EvaluationContext) -> TableResult:
         ).flatten("syzkaller+kernelgpt"),
     }
 
-    # The full configurations x repetitions matrix runs as one engine batch,
-    # so with jobs>1 the three 24-hour-analogue campaigns overlap.
-    campaigns = run_campaign_matrix(
-        ctx.kernel, suites,
-        repetitions=config.repetitions,
-        budget_programs=config.overall_budget,
-        base_seed=config.seed,
-        engine=ctx.engine,
-    )
+    campaigns = {
+        label: run_repeated_campaigns(
+            ctx.kernel, suite,
+            repetitions=config.repetitions,
+            budget_programs=config.overall_budget,
+            base_seed=config.seed,
+            engine=ctx.engine,
+        )
+        for label, suite in suites.items()
+    }
 
     baseline_blocks = union_coverage(campaigns["Syzkaller"])
     table = TableResult(

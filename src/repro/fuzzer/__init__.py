@@ -9,7 +9,6 @@ from .fuzzer import (
     average_crashes,
     merge_campaigns,
     run_campaign,
-    run_campaign_matrix,
     run_repeated_campaigns,
     union_coverage,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FuzzCampaign",
     "run_campaign",
     "run_repeated_campaigns",
-    "run_campaign_matrix",
     "merge_campaigns",
     "average_coverage",
     "average_crashes",

@@ -187,52 +187,6 @@ def run_repeated_campaigns(
     return [result.value for result in engine.run_tasks("fuzz-campaigns", tasks)]
 
 
-def run_campaign_matrix(
-    kernel: KernelCodebase,
-    suites: "dict[str, SpecSuite]",
-    *,
-    repetitions: int = 3,
-    budget_programs: int = 2000,
-    base_seed: int = 0,
-    engine: "ExecutionEngine | None" = None,
-) -> "dict[str, list[FuzzCampaign]]":
-    """Run repeated campaigns for several suites as one flat task batch.
-
-    Fanning out the full ``suites x repetitions`` matrix keeps every worker
-    busy even when one suite has few repetitions.  Results come back grouped
-    by suite label, each group in repetition order — identical to calling
-    :func:`run_repeated_campaigns` per suite serially, for any executor kind.
-    """
-    from ..engine import TaskSpec
-
-    CoverageSpace.for_kernel(kernel)  # parent-side digest registration (see above)
-
-    pairs = [
-        (label, base_seed + repetition * 1009)
-        for label in suites
-        for repetition in range(repetitions)
-    ]
-    grouped: dict[str, list[FuzzCampaign]] = {label: [] for label in suites}
-    if engine is None:
-        for label, seed in pairs:
-            grouped[label].append(run_campaign(kernel, suites[label], seed, budget_programs))
-        return grouped
-
-    tasks = [
-        TaskSpec(
-            key=f"{label}@{seed}",
-            fn=run_campaign,
-            args=(kernel, suites[label], seed, budget_programs),
-            seed=seed,
-        )
-        for label, seed in pairs
-    ]
-    results = engine.run_tasks("fuzz-campaigns", tasks)
-    for (label, _), result in zip(pairs, results):
-        grouped[label].append(result.value)
-    return grouped
-
-
 def merge_campaigns(campaigns: list[FuzzCampaign], *, suite_name: str | None = None) -> FuzzCampaign:
     """Fold a list of campaigns into one aggregate :class:`FuzzCampaign`.
 
@@ -278,7 +232,6 @@ __all__ = [
     "FuzzCampaign",
     "run_campaign",
     "run_repeated_campaigns",
-    "run_campaign_matrix",
     "merge_campaigns",
     "average_coverage",
     "average_crashes",

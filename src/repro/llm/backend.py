@@ -92,12 +92,11 @@ class UsageMeter:
     """Accumulates query/token usage across a generation run.
 
     Recording is guarded by a lock: one backend may serve many concurrent
-    generation sessions (the engine's thread-pool fan-out), and lost updates
+    generation sessions (a service job's handler sessions), and lost updates
     would make usage totals schedule-dependent.
 
-    Meters are picklable (the lock is dropped and recreated), so a backend
-    can travel inside a process-pool task payload; worker-side usage comes
-    back through :meth:`merge` when the parent joins the batch.
+    Meters are picklable (the lock is dropped and recreated), along with
+    the backends that own them.
     """
 
     queries: int = 0
@@ -127,21 +126,6 @@ class UsageMeter:
                 kind_stats["queries"] += 1
                 kind_stats["input"] += prompt.approximate_tokens()
                 kind_stats["output"] += completion.approximate_tokens()
-
-    def merge(self, other: "UsageMeter") -> None:
-        """Fold another meter's totals into this one (process-mode join).
-
-        ``other`` is expected to be a worker-private meter that is no longer
-        being written to; only this meter's lock is taken.
-        """
-        with self._lock:
-            self.queries += other.queries
-            self.input_tokens += other.input_tokens
-            self.output_tokens += other.output_tokens
-            for kind, stats in other.by_kind.items():
-                kind_stats = self.by_kind.setdefault(kind, {"queries": 0, "input": 0, "output": 0})
-                for counter in ("queries", "input", "output"):
-                    kind_stats[counter] += stats[counter]
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -263,7 +247,7 @@ class LLMBackend(abc.ABC):
         # many threads share the backend (a check on usage.queries alone
         # would let concurrent callers race past the limit).
         self._budget_lock = threading.Lock()
-        self._reserved_queries = 0
+        self._reserved_slots = 0
 
     def query(self, prompt: Prompt) -> Completion:
         """Send one prompt: a thin one-element shim over :meth:`complete_batch`."""
@@ -357,9 +341,9 @@ class LLMBackend(abc.ABC):
         over_budget = False
         if self._query_budget is not None:
             with self._budget_lock:
-                available = max(0, self._query_budget - self._reserved_queries)
+                available = max(0, self._query_budget - self._reserved_slots)
                 granted = min(len(distinct), available)
-                self._reserved_queries += granted
+                self._reserved_slots += granted
             over_budget = granted < len(distinct)
 
         served: list[tuple[LLMRequest, Completion]] = []
@@ -441,7 +425,7 @@ class LLMBackend(abc.ABC):
         """
         if self._query_budget is not None:
             with self._budget_lock:
-                self._reserved_queries -= granted - len(served)
+                self._reserved_slots -= granted - len(served)
         if served:
             self.usage.record_batch(
                 (request.prompt, completion) for request, completion in served
@@ -457,47 +441,10 @@ class LLMBackend(abc.ABC):
         if self._query_budget is None:
             return None
         with self._budget_lock:
-            return max(0, self._query_budget - self._reserved_queries)
+            return max(0, self._query_budget - self._reserved_slots)
 
-    def reserved_queries(self) -> int:
-        """Budget slots reserved so far; a snapshot for :meth:`restore_reserved_queries`."""
-        with self._budget_lock:
-            return self._reserved_queries
-
-    def restore_reserved_queries(self, count: int) -> None:
-        """Reset the reservations to a snapshot (after each process-worker task)."""
-        with self._budget_lock:
-            self._reserved_queries = count
-
-    def note_external_queries(self, queries: int) -> None:
-        """Count queries a worker-process copy issued against this budget.
-
-        Process workers enforce the budget on their own pickled copies, each
-        task starting from the parent's reservation count at fan-out time —
-        so during a batch the cap is per task, not global.  Merging outcomes
-        calls this to restore exact accounting at join: the reservations are
-        consumed here, and if the merged total has blown the budget the
-        batch fails with ``LLMBudgetExceeded`` just as a shared-memory run
-        would have failed mid-batch.
-        """
-        if queries <= 0:
-            return
-        with self._budget_lock:
-            self._reserved_queries += queries
-            over = (
-                self._query_budget is not None
-                and self._reserved_queries > self._query_budget
-            )
-        if over:
-            raise LLMBudgetExceeded(
-                f"backend {self.model!r} exceeded its query budget of {self._query_budget} "
-                f"across process shards ({self._reserved_queries} queries issued)"
-            )
-
-    # Backends are picklable so they can ride inside process-pool task
-    # payloads; locks are recreated on unpickle.  The worker's copy meters
-    # and records independently of the parent — outcomes that matter travel
-    # back in task return values (see repro.core.tasks).
+    # Backends are picklable; locks are recreated on unpickle.  A copy
+    # meters and records independently of the original.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_budget_lock", None)

@@ -18,9 +18,9 @@ served (one inner ``complete_batch``), and the raised error carries that
 partial outcome (:meth:`~repro.errors.BackendError.attach_batch_state`) so
 retry layers re-send only what failed.
 
-Occurrence counters are **worker-local**, the same contract as the replay
-backend: pickling into a process worker resets them, so every worker sees
-a self-consistent fault schedule starting at occurrence zero.  Keys are
+Occurrence counters belong to one backend object, the same contract as the
+replay backend: a pickled copy starts them at zero, so every copy sees a
+self-consistent fault schedule starting at occurrence zero.  Keys are
 per ``(route, digest)``, so concurrent batches cannot interleave their way
 into different fault decisions for the same request.
 """
@@ -225,15 +225,6 @@ class FaultyBackend(LLMBackend):
 
     def remaining_budget(self) -> int | None:
         return self.inner.remaining_budget()
-
-    def reserved_queries(self) -> int:
-        return self.inner.reserved_queries()
-
-    def restore_reserved_queries(self, count: int) -> None:
-        self.inner.restore_reserved_queries(count)
-
-    def note_external_queries(self, queries: int) -> None:
-        self.inner.note_external_queries(queries)
 
     def complete_batch(self, requests: "Sequence[LLMRequest | Prompt]") -> list[Completion]:
         normalized = [LLMRequest.of(item) for item in requests]

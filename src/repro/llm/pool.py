@@ -4,8 +4,8 @@ The LLM-choice ablation (§5.2.3) runs the same drivers against GPT-4,
 GPT-4o and GPT-3.5 analysts.  Before the batched protocol that meant three
 sequential generator runs, one per backend; :class:`BackendPool` turns it
 into a single run that routes every request to the right member backend by
-its routing tag, so the engine can shard the whole profile × driver matrix
-through one fan-out.
+its routing tag, so one generator per profile shares the pool and the
+context's engine.
 
 Routing rules (first match wins):
 
@@ -26,8 +26,8 @@ Routing rules (first match wins):
      Placement is per *request position* in batch order under one lock, so
      a given **batch sequence** always lands on the same members.  The
      cursor is pool-global and advances in batch *arrival* order: with
-     concurrent untagged batches through one shared pool (an engine thread
-     fan-out), arrival order — and therefore placement — depends on thread
+     concurrent untagged batches through one shared pool (concurrent service
+     sessions), arrival order — and therefore placement — depends on thread
      scheduling.  Callers that need byte-identical runs must either tag
      their requests (tags never consult the scheduler) or funnel untagged
      batches through a single submission point; the evaluation pipeline
@@ -245,9 +245,7 @@ class BackendPool(LLMBackend):
                 )
                 raise primary
         # The pool-level meter records per *request* (the caller's view);
-        # member meters record per distinct completion served.  The pool
-        # meter is also what travels back from process workers, where the
-        # per-member breakdown stays worker-local.
+        # member meters record per distinct completion served.
         self.usage.record_batch(
             (request.prompt, completion)
             for request, completion in zip(normalized, results)

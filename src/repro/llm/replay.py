@@ -1,8 +1,8 @@
 """Deterministic test backends: scripted replies and request recording.
 
 Both backends are **engine-safe**: they may be shared by any number of
-concurrent generation sessions (thread fan-out) or pickled into process-pool
-task payloads, and still behave exactly as they would under a serial run.
+concurrent generation sessions (a service job's handlers run as concurrent
+sessions), and still behave exactly as they would under a serial run.
 
 The original implementations kept unsynchronized FIFO queues — the reply a
 prompt received depended on how the schedule interleaved ``pop(0)`` calls,
@@ -18,16 +18,10 @@ prompt**, by a stable content digest (:func:`prompt_key`):
 
 Because the reply is a function of (prompt content, per-prompt occurrence
 index) — never of global arrival order — any executor schedule produces the
-same completion for the same prompt.  One scoping rule for process shards:
-occurrence counters are **worker-local** (a pickled copy starts at zero and
-counters are not merged back), so a multi-reply sequence only advances
-within one shard — a prompt that must be asked repeatedly *across* shards
-should be scripted with a single reply, which is also the only pattern
-whose cross-shard semantics are meaningful (shards have no global "i-th
-ask" order to agree on).  Recording appends under a lock, and process
-workers return their recorded exchanges through task outcomes which the
-parent merges at join (:meth:`RecordingBackend.merge_exchanges`), in
-submission order, so the merged transcript is schedule-independent too.
+same completion for the same prompt.  Occurrence counters belong to one
+backend object: a pickled copy starts at zero, so a multi-reply sequence
+only advances within one copy.  Recording appends under a lock, one
+exchange per distinct request in request order.
 
 **Interaction with the artifact store** (repro.store): store hydration
 happens *above* the backend — the engine's
@@ -38,11 +32,11 @@ therefore cannot double-count usage: the backend's
 :class:`~repro.llm.UsageMeter` reflects real traffic only, while
 run-attributed totals (``GenerationRun.usage_summary``) travel inside the
 stored session artifacts and stay byte-identical.  The flip side mirrors
-the worker-local counter contract above: the store pins whichever
+the per-copy counter contract above: the store pins whichever
 occurrence of a multi-reply sequence was live when the artifact was first
 saved, so a warm rerun replays *that* reply instead of advancing the
 sequence — cross-run multi-reply semantics would need a global "i-th ask"
-order that, exactly as across process shards, does not exist.  Scripts
+order that, exactly as across pickled copies, does not exist.  Scripts
 that must vary across runs belong outside the store (or under a different
 :meth:`ReplayBackend.store_profile`, which digests the reply tables and so
 already separates differently-scripted backends).
@@ -64,7 +58,7 @@ def prompt_key(prompt: Prompt) -> str:
     Derived from the prompt's kind, subject and full text via SHA-256 — the
     same prompt hashes identically in every worker process regardless of
     ``PYTHONHASHSEED``, which is what lets replay scripts and recorded
-    transcripts be keyed consistently across process shards.
+    transcripts be keyed consistently across processes.
     """
     digest = hashlib.sha256()
     for part in (prompt.kind, prompt.subject, prompt.text):
@@ -225,20 +219,6 @@ class RecordingBackend(LLMBackend):
             )
         return completions
 
-    def merge_exchanges(self, exchanges: list[RecordedExchange]) -> None:
-        """Fold exchanges recorded by a worker-process copy into this backend.
-
-        Callers merge worker outcomes in task-submission order, which keeps
-        the combined transcript identical for any process schedule.
-        """
-        with self._record_lock:
-            self.exchanges.extend(exchanges)
-
-    def take_exchanges(self, start: int = 0) -> list[RecordedExchange]:
-        """Snapshot the exchanges recorded at or after index ``start``."""
-        with self._record_lock:
-            return list(self.exchanges[start:])
-
     def prompts_of_kind(self, kind: str) -> list[Prompt]:
         with self._record_lock:
             return [exchange.prompt for exchange in self.exchanges if exchange.prompt.kind == kind]
@@ -252,9 +232,8 @@ class RecordingBackend(LLMBackend):
     def __getstate__(self) -> dict:
         state = super().__getstate__()
         state.pop("_record_lock", None)
-        # Workers never need the parent's transcript — shipping it would
-        # grow every task payload by the full recorded history.  A pickled
-        # copy starts empty and returns only what it records itself.
+        # A pickled copy starts with an empty transcript instead of
+        # carrying the full recorded history.
         state["exchanges"] = []
         return state
 

@@ -265,15 +265,6 @@ class ResilientBackend(LLMBackend):
     def remaining_budget(self) -> int | None:
         return self.inner.remaining_budget()
 
-    def reserved_queries(self) -> int:
-        return self.inner.reserved_queries()
-
-    def restore_reserved_queries(self, count: int) -> None:
-        self.inner.restore_reserved_queries(count)
-
-    def note_external_queries(self, queries: int) -> None:
-        self.inner.note_external_queries(queries)
-
     def complete_batch(self, requests: "Sequence[LLMRequest | Prompt]") -> list[Completion]:
         normalized = [LLMRequest.of(item) for item in requests]
         if not normalized:

@@ -18,6 +18,7 @@ import sys
 
 from ..errors import AdmissionError
 from ..experiments.flags import build_parser, config_from_args
+from ..experiments.runner import EXPERIMENTS
 from .jobs import JOB_KINDS, Job
 
 
@@ -42,6 +43,11 @@ def parse_job(entry: str) -> Job:
     if not spec:
         raise SystemExit(f"--job {entry!r}: empty spec")
     if kind == "experiment":
+        if spec not in EXPERIMENTS:
+            raise SystemExit(
+                f"--job {entry!r}: unknown experiment {spec!r}; "
+                f"choose from {', '.join(EXPERIMENTS)}"
+            )
         return Job(kind=kind, tenant=tenant, experiment=spec)
     if kind == "fuzz":
         suite, _, seed = spec.partition("@")
@@ -90,8 +96,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         coalesce=not args.no_coalesce,
         window=args.window / 1000.0,
         max_batch=args.max_batch,
-        engine_jobs=args.engine_jobs,
-        executor=args.executor,
         tenant_budgets=tenant_budgets,
         store=args.store,
         job_retries=args.job_retries,

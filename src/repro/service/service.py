@@ -59,8 +59,6 @@ class JobService:
         coalesce: bool = True,
         window: float = 0.01,
         max_batch: int = 64,
-        engine_jobs: int = 1,
-        executor: str = "thread",
         tenant_budgets: dict[str, int] | None = None,
         backend: LLMBackend | None = None,
         kernel: KernelCodebase | None = None,
@@ -117,8 +115,6 @@ class JobService:
             )
         for tenant, limit in (tenant_budgets or {}).items():
             self.coalescer.set_tenant_budget(tenant, limit)
-        self.engine_jobs = max(1, engine_jobs)
-        self.executor = executor
         self.max_pending = max_pending
         # Serving threads spend their lives blocked on coalescer events, so
         # their count is not capped at the CPU count.
@@ -218,9 +214,7 @@ class JobService:
                 from ..store import StoreBinding
 
                 job_store = StoreBinding(self._store)
-            job_engine = ExecutionEngine(
-                jobs=self.engine_jobs, kind=self.executor, store=job_store
-            )
+            job_engine = ExecutionEngine(store=job_store)
             try:
                 result.text = self._run_job(job, job_backend, job_engine, emit)
                 result.error = None

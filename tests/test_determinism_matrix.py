@@ -1,17 +1,18 @@
-"""Cross-jobs determinism matrix: jobs x executor must never change output.
+"""Determinism matrix: no axis may change output.
 
-The acceptance contract for process sharding: for every combination of
-``jobs ∈ {1, 2, 4}`` and ``executor ∈ {serial, thread, process}``, a
-generation campaign produces byte-identical suites with identical
-session-attributed query counts, and a fuzz campaign produces identical
-coverage/crash results — all compared against a plain engine-less serial
-run.  The repair-mode axis additionally pins the transactional repair
-protocol: byte-identical to its own serial baseline at every cell, and
+Generation's axes are its schedule (the serial loop of
+``generate_for_handlers``, or every handler as a concurrent session, as a
+service generation job runs them), the query mode (batched or
+per-query), the repair mode and the backend frontend: a memoized run
+produces byte-identical suites with identical session-attributed query
+counts, compared against a plain engine-less run.  The repair-mode axis additionally pins the transactional repair
+protocol: byte-identical to its own engine-less baseline, and
 valid-or-exhausted equivalent to the per-query loop (see
-``test_transactional_repair_matrix``).  Executors are constructed
-explicitly (not via ``create_executor``) so
-the matrix exercises real thread/process pools even on a single-core CI
-host, where ``create_executor`` would cap them at one worker.
+``test_transactional_repair_matrix``).  Fuzz campaigns and replay keep the
+``jobs ∈ {1, 2, 4}`` × ``executor ∈ {serial, thread, process}`` axes.
+Executors are constructed explicitly (not via ``create_executor``) so the
+matrix exercises real thread/process pools even on a single-core CI host,
+where ``create_executor`` would cap them at one worker.
 """
 
 import pytest
@@ -32,6 +33,10 @@ HANDLERS = ["dm_ctl_fops", "cec_devnode_fops", "rds_proto_ops", "udmabuf_fops"]
 
 JOBS_LEVELS = (1, 2, 4)
 EXECUTOR_KINDS = ("serial", "thread", "process")
+
+#: Generation's two schedules as (kind, sessions in flight); see the
+#: ``generate_on_schedule`` fixture.
+SCHEDULES = (("serial", 1), ("thread", len(HANDLERS)))
 
 
 def _engine(kind: str, jobs: int) -> ExecutionEngine:
@@ -62,25 +67,24 @@ def generation_baseline(small_kernel, extractor):
 
 
 @pytest.mark.parametrize("batched", (True, False), ids=("batched", "per-query"))
-@pytest.mark.parametrize("jobs", JOBS_LEVELS)
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+@pytest.mark.parametrize("kind,jobs", SCHEDULES)
 def test_generation_matrix_is_byte_identical(
-    small_kernel, extractor, generation_baseline, kind, jobs, batched
+    small_kernel, extractor, generation_baseline, generate_on_schedule, kind, jobs, batched
 ):
-    """Every (jobs, executor, batched) cell reproduces the serial baseline.
+    """Both query modes reproduce the engine-less baseline on a memoized run,
+    on both schedules.
 
     The ``batched`` axis pins the batched-session contract: submitting each
     stage's prompts as one ``complete_batch`` (the default) and the
     per-query path must produce the same bytes, query counts and usage as
-    each other and as the engine-less serial baseline.
+    each other and as the engine-less baseline.
     """
     baseline_suites, baseline_queries, baseline_usage, _ = generation_baseline
-    engine = _engine(kind, jobs)
     generator = KernelGPT(
-        small_kernel, OracleBackend(), extractor=extractor, engine=engine,
+        small_kernel, OracleBackend(), extractor=extractor, engine=ExecutionEngine(),
         batch_queries=batched,
     )
-    run = generator.generate_for_handlers(HANDLERS, engine=engine)
+    run = generate_on_schedule(generator, HANDLERS, kind, jobs)
 
     suites = {handler: result.suite_text() for handler, result in run.results.items()}
     queries = {handler: result.queries for handler, result in run.results.items()}
@@ -105,17 +109,17 @@ def transactional_baseline(small_kernel, extractor):
     return suites, queries, flags
 
 
-@pytest.mark.parametrize("jobs", JOBS_LEVELS)
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+@pytest.mark.parametrize("kind,jobs", SCHEDULES)
 def test_transactional_repair_matrix(
-    small_kernel, extractor, transactional_baseline, generation_baseline, kind, jobs
+    small_kernel, extractor, transactional_baseline, generation_baseline,
+    generate_on_schedule, kind, jobs,
 ):
     """The repair-mode axis of the matrix, both halves of its contract:
 
-    * **determinism** — a transactional run is byte-identical to the
-      engine-less serial transactional baseline at every (jobs, executor)
-      cell (snapshot prompts and the rule-7 commit order make the round a
-      pure function of the round-start suite, so scheduling cannot leak);
+    * **determinism** — a memoized transactional run is byte-identical to
+      the engine-less transactional baseline on both schedules (snapshot
+      prompts and the rule-7 commit order make the round a pure function
+      of the round-start suite, so concurrent sessions cannot leak);
     * **equivalence** — its valid-or-exhausted outcome and ``repaired``
       flags match the per-query baseline on the replay corpus, which is
       what keeps the per-query loop an oracle rather than a second mode
@@ -123,12 +127,11 @@ def test_transactional_repair_matrix(
     """
     baseline_suites, baseline_queries, baseline_flags = transactional_baseline
     _, _, _, per_query_flags = generation_baseline
-    engine = _engine(kind, jobs)
     generator = KernelGPT(
-        small_kernel, OracleBackend(), extractor=extractor, engine=engine,
+        small_kernel, OracleBackend(), extractor=extractor, engine=ExecutionEngine(),
         repair_mode="transactional",
     )
-    run = generator.generate_for_handlers(HANDLERS, engine=engine)
+    run = generate_on_schedule(generator, HANDLERS, kind, jobs)
     assert {h: r.suite_text() for h, r in run.results.items()} == baseline_suites
     assert {h: r.queries for h, r in run.results.items()} == baseline_queries
     flags = {h: (r.valid, r.repaired) for h, r in run.results.items()}
@@ -136,57 +139,8 @@ def test_transactional_repair_matrix(
     assert flags == per_query_flags
 
 
-def test_process_generation_enforces_query_budget_at_join(small_kernel, extractor):
-    """A blown query budget fails the batch in process mode too.
-
-    Worker copies enforce the budget per shard during the batch; the join
-    charges the merged total against the parent's reservations, so the run
-    still ends in LLMBudgetExceeded exactly like a shared-memory run.
-    """
-    from repro.errors import LLMBudgetExceeded
-
-    # HANDLERS need ~100 queries total but no single handler needs more
-    # than ~35, so a budget of 60 passes every per-shard check and the
-    # violation is only detectable at the merge — which must raise.
-    backend = OracleBackend(query_budget=60)
-    generator = KernelGPT(small_kernel, backend, extractor=extractor)
-    with pytest.raises(LLMBudgetExceeded):
-        generator.generate_for_handlers(HANDLERS, engine=_engine("process", 2))
-    # Usage/exchange merging still happened before the raise.
-    assert backend.usage.queries > 60
-
-
-def test_process_budget_outcome_ignores_which_worker_runs_what(small_kernel, extractor):
-    """The worst-case schedule: one process worker is dealt every handler.
-
-    Its backend copy serves all four tasks, yet each task must start from
-    the fan-out reservations: no task trips the budget on its own, and the
-    merged total fails at the join with every task's usage accounted.
-    """
-    from repro.errors import LLMBudgetExceeded
-
-    backend = OracleBackend(query_budget=60)
-    generator = KernelGPT(small_kernel, backend, extractor=extractor)
-    engine = ExecutionEngine(jobs=1, executor=ProcessPoolExecutor(1))
-    with pytest.raises(LLMBudgetExceeded, match="across process shards"):
-        generator.generate_for_handlers(HANDLERS, engine=engine)
-    assert backend.usage.queries > 60
-
-
-def test_process_task_error_still_returns_its_usage(small_kernel, extractor):
-    """A task that blows the budget inside its worker still reports usage."""
-    from repro.errors import LLMBudgetExceeded
-
-    backend = OracleBackend(query_budget=20)
-    generator = KernelGPT(small_kernel, backend, extractor=extractor)
-    engine = ExecutionEngine(jobs=1, executor=ProcessPoolExecutor(1))
-    with pytest.raises(LLMBudgetExceeded):
-        generator.generate_for_handlers(["cec_devnode_fops"], engine=engine)
-    assert backend.usage.queries == 20
-
-
 def test_pickled_recording_backend_starts_with_empty_transcript(small_kernel, extractor):
-    """Task payloads must not ship the parent's accumulated exchanges."""
+    """A pickled copy must not carry the accumulated exchanges."""
     import pickle
 
     backend = RecordingBackend(OracleBackend())
@@ -196,42 +150,26 @@ def test_pickled_recording_backend_starts_with_empty_transcript(small_kernel, ex
     assert clone.exchanges == []
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-def test_pool_routed_generation_matrix(small_kernel, extractor, generation_baseline, kind):
+@pytest.mark.parametrize("kind", ("serial", "thread"))
+def test_pool_routed_generation_matrix(
+    small_kernel, extractor, generation_baseline, generate_on_schedule, kind
+):
     """A BackendPool member routed by tag reproduces the direct-backend run.
 
     The multi-backend frontend must be invisible to determinism: a
     generator whose requests route through a pool to the same capability
-    profile produces the baseline bytes on every executor kind.
+    profile produces the baseline bytes on both schedules.
     """
     from repro.llm import BackendPool, DegradedBackend
 
     baseline_suites, baseline_queries, _, _ = generation_baseline
     pool = BackendPool({"gpt-4": DegradedBackend.gpt4(), "gpt-3.5": DegradedBackend.gpt35()})
-    engine = _engine(kind, 2)
     generator = KernelGPT(
-        small_kernel, pool, extractor=extractor, engine=engine, backend_route="gpt-4"
+        small_kernel, pool, extractor=extractor, engine=ExecutionEngine(), backend_route="gpt-4"
     )
-    run = generator.generate_for_handlers(HANDLERS, engine=engine)
+    run = generate_on_schedule(generator, HANDLERS, kind, len(HANDLERS))
     assert {h: r.suite_text() for h, r in run.results.items()} == baseline_suites
     assert {h: r.queries for h, r in run.results.items()} == baseline_queries
-
-
-def test_process_generation_merges_worker_side_effects(small_kernel, extractor):
-    """Process workers' usage and exchanges come back to the parent backend."""
-    backend = RecordingBackend(OracleBackend())
-    engine = _engine("process", 2)
-    generator = KernelGPT(small_kernel, backend, extractor=extractor)
-    run = generator.generate_for_handlers(HANDLERS, engine=engine)
-    assert set(run.results) == set(HANDLERS)
-    # Workers run engine-less (no memo cache), so merged usage equals the
-    # session-attributed totals exactly.
-    assert backend.usage.queries == sum(r.queries for r in run.results.values())
-    assert len(backend.exchanges) == backend.usage.queries
-    # The merged transcript is in task-submission order: every handler's
-    # prompts appear, grouped per task.
-    subjects = {exchange.prompt.subject for exchange in backend.exchanges}
-    assert subjects.issuperset({"dm_ctl_fops", "rds_proto_ops"})
 
 
 # ---------------------------------------------------------- fuzz campaigns

@@ -1,8 +1,8 @@
 """The execution engine: determinism, caching, scheduling, instrumentation.
 
-The contract under test is the one the parallel refactor rests on: any
-``jobs`` level produces byte-identical generation suites, identical campaign
-coverage/crash sets, and schedule-independent cache accounting.
+The contract under test: memoized and engine-less generation produce
+byte-identical suites, any ``jobs`` level produces identical campaign
+coverage/crash sets, and the memo caches are single-flight.
 """
 
 import concurrent.futures
@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import KernelGPT
 from repro.engine import (
-    POOL_PAYLOAD,
     ExecutionEngine,
     MemoCache,
     ProcessPoolExecutor,
@@ -23,11 +22,7 @@ from repro.engine import (
     create_executor,
     derive_seed,
 )
-from repro.fuzzer import (
-    merge_campaigns,
-    run_campaign_matrix,
-    run_repeated_campaigns,
-)
+from repro.fuzzer import merge_campaigns, run_repeated_campaigns
 from repro.llm import OracleBackend
 
 #: A determinism-sensitive handler mix: secondary-handler chains (kvm, whose
@@ -142,70 +137,6 @@ def test_generator_and_backends_are_picklable(small_kernel, extractor):
     assert len(restored.exchanges) == 1
 
 
-class CountingGenerator(KernelGPT):
-    """A generator that counts how often it is pickled (module-level so
-    process-pool workers can unpickle it by qualified name)."""
-
-    pickles = 0
-
-    def __getstate__(self):
-        CountingGenerator.pickles += 1
-        return super().__getstate__()
-
-
-def test_process_pool_ships_generator_once_per_worker(small_kernel, extractor):
-    """The batch payload pickles once per batch, not once per task.
-
-    Task args carry only the ``POOL_PAYLOAD`` sentinel; the generator is
-    pickled once in the parent and rides as bytes in the pool initializer's
-    ``initargs``, which each worker unpickles once — under the fork and
-    spawn start methods alike, and strictly fewer pickles than the
-    one-per-task the args used to cost.
-    """
-    generator = CountingGenerator(small_kernel, OracleBackend(), extractor=extractor)
-    engine = ExecutionEngine(jobs=2, executor=ProcessPoolExecutor(2))
-    CountingGenerator.pickles = 0
-    handlers = ["dm_ctl_fops", "cec_devnode_fops", "rds_proto_ops", "udmabuf_fops"]
-    run = generator.generate_for_handlers(handlers, engine=engine)
-    assert set(run.results) == set(handlers)
-    assert CountingGenerator.pickles == 1             # once per batch, never per task
-
-
-class PickleMarked:
-    """A payload whose ``__getstate__`` marks every copy that went through pickle."""
-
-    pickled = False
-
-    def __getstate__(self):
-        return {"pickled": True}
-
-
-def _read_pickle_mark(payload):
-    return payload.pickled
-
-
-def test_process_pool_payload_honours_getstate():
-    """Workers see the payload's pickled form under every start method.
-
-    The fork start method inherits a pool's ``initargs`` instead of pickling
-    them, so a payload handed over as-is would skip ``__getstate__`` and
-    carry parent-only state (an engine, a coalescer handle) into workers.
-    """
-    tasks = [TaskSpec(key=str(i), fn=_read_pickle_mark, args=(POOL_PAYLOAD,)) for i in range(2)]
-    results = ProcessPoolExecutor(2).run(tasks, payload=PickleMarked())
-    assert [r.value for r in results] == [True, True]
-
-
-def test_shared_payload_passes_by_reference_in_memory(small_kernel, extractor):
-    """In-memory executors substitute the payload object itself, no pickling."""
-    generator = CountingGenerator(small_kernel, OracleBackend(), extractor=extractor)
-    engine = ExecutionEngine(jobs=2)
-    CountingGenerator.pickles = 0
-    run = generator.generate_for_handlers(["dm_ctl_fops", "udmabuf_fops"], engine=engine)
-    assert set(run.results) == {"dm_ctl_fops", "udmabuf_fops"}
-    assert CountingGenerator.pickles == 0
-
-
 # --------------------------------------------------------------------- cache
 def test_memo_cache_hit_miss_accounting():
     cache = MemoCache("t")
@@ -285,25 +216,23 @@ def _suites_and_queries(run):
     )
 
 
-def test_parallel_generation_matches_serial(small_kernel, extractor):
-    serial = KernelGPT(small_kernel, OracleBackend(), extractor=extractor)
-    serial_run = serial.generate_for_handlers(HANDLERS)
+def test_memoized_generation_matches_engineless(small_kernel, extractor):
+    plain = KernelGPT(small_kernel, OracleBackend(), extractor=extractor)
+    plain_run = plain.generate_for_handlers(HANDLERS)
 
-    # The explicit pool forces true thread concurrency even on a 1-core host
-    # (where create_executor would cap jobs=4 at one worker).
-    engine = ExecutionEngine(jobs=4, executor=ThreadPoolExecutor(4))
-    parallel = KernelGPT(small_kernel, OracleBackend(), extractor=extractor, engine=engine)
-    parallel_run = parallel.generate_for_handlers(HANDLERS, engine=engine)
+    engine = ExecutionEngine()
+    memoized = KernelGPT(small_kernel, OracleBackend(), extractor=extractor, engine=engine)
+    memoized_run = memoized.generate_for_handlers(HANDLERS)
 
-    s_texts, s_queries = _suites_and_queries(serial_run)
-    p_texts, p_queries = _suites_and_queries(parallel_run)
-    assert list(p_texts) == list(s_texts)      # handler order preserved
-    assert p_texts == s_texts                  # byte-identical suites
-    assert p_queries == s_queries              # session-level query attribution
+    plain_texts, plain_queries = _suites_and_queries(plain_run)
+    memo_texts, memo_queries = _suites_and_queries(memoized_run)
+    assert list(memo_texts) == list(plain_texts)   # handler order preserved
+    assert memo_texts == plain_texts               # byte-identical suites
+    assert memo_queries == plain_queries           # session-level query attribution
 
 
-def test_generation_cache_accounting_is_schedule_independent(small_kernel, extractor):
-    engine = ExecutionEngine(jobs=4, executor=ThreadPoolExecutor(4))
+def test_generation_cache_accounting_is_single_flight(small_kernel, extractor):
+    engine = ExecutionEngine()
     generator = KernelGPT(small_kernel, OracleBackend(), extractor=extractor, engine=engine)
     run = generator.generate_for_handlers(HANDLERS, engine=engine)
     assert run.results
@@ -326,9 +255,9 @@ def test_generation_cache_accounting_is_schedule_independent(small_kernel, extra
 
 
 def test_fanout_engine_reaches_sessions_on_engineless_generator(small_kernel, extractor):
-    """jobs=N on a generator built without an engine must still memoize.
+    """An explicit engine on a generator built without one must still memoize.
 
-    The fan-out engine is threaded into each session, so the single-flight
+    The caller's engine is threaded into each session, so the single-flight
     LLM cache applies (one backend query per distinct prompt) even though
     generator.engine is None.
     """
@@ -372,21 +301,6 @@ def test_parallel_campaigns_match_serial(small_kernel, campaign_suite):
         assert parallel_campaign.coverage == serial_campaign.coverage
         assert parallel_campaign.crash_log.bug_ids() == serial_campaign.crash_log.bug_ids()
         assert parallel_campaign.executed_programs == serial_campaign.executed_programs
-
-
-def test_campaign_matrix_matches_per_suite_runs(small_kernel, syzkaller_corpus, campaign_suite):
-    suites = {"all": campaign_suite, "fuse": syzkaller_corpus.get("fuse_fops")}
-    matrix = run_campaign_matrix(
-        small_kernel, suites, repetitions=2, budget_programs=100, base_seed=5,
-        engine=ExecutionEngine(jobs=4, executor=ThreadPoolExecutor(4)),
-    )
-    assert set(matrix) == {"all", "fuse"}
-    for label, suite in suites.items():
-        expected = run_repeated_campaigns(
-            small_kernel, suite, repetitions=2, budget_programs=100, base_seed=5
-        )
-        assert [c.coverage for c in matrix[label]] == [c.coverage for c in expected]
-        assert [c.unique_crashes for c in matrix[label]] == [c.unique_crashes for c in expected]
 
 
 def test_merge_campaigns_aggregates(small_kernel, campaign_suite):

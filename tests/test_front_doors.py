@@ -172,10 +172,26 @@ def test_config_flags_are_validated_at_the_front_door(argv):
 
 @pytest.mark.parametrize(
     "entry",
-    ["fuzz:syzkaller@abc", "generation:", "bogus:dm_ctl_fops", "=generation:dm_ctl_fops"],
+    ["fuzz:syzkaller@abc", "generation:", "bogus:dm_ctl_fops", "=generation:dm_ctl_fops",
+     "nope", "experiment:nope"],
 )
 def test_malformed_job_specs_are_rejected_at_the_front_door(entry):
     from repro.service.cli import serve_main
 
     with pytest.raises(SystemExit, match=re.escape(repr(entry))):
         serve_main(["--job", entry])
+
+
+@pytest.mark.parametrize("door", sorted(FRONT_DOORS))
+def test_output_that_is_a_file_is_refused_before_any_work(
+    door, tmp_path, built_contexts, capsys
+):
+    from repro.experiments import runner
+
+    existing = tmp_path / "taken.txt"
+    existing.write_text("not a directory\n")
+    with pytest.raises(SystemExit) as refused:
+        runner.main(FRONT_DOORS[door][1] + ["--output", str(existing)])
+    assert refused.value.code == 2
+    assert "--output" in capsys.readouterr().err
+    assert built_contexts == []

@@ -171,15 +171,3 @@ def test_replay_is_schedule_independent_under_threads():
     for t in threads:
         t.join()
     assert answers == {i: f"reply-{i}" for i in range(6)}
-
-
-def test_recording_backend_merges_worker_exchanges():
-    from repro.llm import OracleBackend as Oracle
-
-    parent = RecordingBackend(Oracle())
-    worker = RecordingBackend(Oracle())
-    prompt = Prompt(kind="identifier", subject="w", text="## Registration\nnothing\n")
-    worker.query(prompt)
-    parent.merge_exchanges(worker.take_exchanges())
-    assert len(parent.exchanges) == 1
-    assert parent.exchanges_for(prompt)[0].prompt.subject == "w"
